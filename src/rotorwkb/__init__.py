@@ -28,9 +28,8 @@ from .observables import (MomentODEParams, ObservableRecord, am_relation_residua
                           record_from_wavefield, record_from_wkb,
                           records_from_csv, records_to_csv)
 from .rays import (CausticError, QuadraticPhase, QuadraticPhaseTrajectory, Ray,
-                   RayTrajectory, ShootingError, SmoothPhase, eval_phase_general,
-                   hamiltonian, hamiltonian_rhs, integrate_ray, integrate_rays,
-                   quadratic_phase_evolve, quadratic_phase_rhs,
+                   RayTrajectory, ShootingError, eval_phase_general, hamiltonian,
+                   integrate_ray, integrate_rays, quadratic_phase_evolve,
                    subquadratic_monitor)
 from .runner import (RunResult, SweepError, SweepResult, build_hydro_state,
                      build_ray_bundle, build_wavefield, build_wkb_state,

@@ -9,8 +9,10 @@ amplitude a = alpha + i beta and the slow velocity v = grad phi obey
 where w = grad S - Omega x_perp is the drift.  For a quadratic S the
 drift is affine, div w = tr Sigma, and the matrix contracted against v
 is the transposed drift Jacobian Sigma + Omega J (the term is
-v_j d_i w_j).  The drift coefficients advance inside the same RK4 step
-as the fields, so every stage sees a consistent drift.
+v_j d_i w_j).  The drift coefficients are not part of the RK4 state:
+they follow the exact quadratic phase flow (rays.quadratic_phase_evolve),
+sampled once on the half-step grid, so every stage sees the drift at its
+own time.  A drift caustic before the horizon aborts the run.
 
 At eps = 0 the same stencils also march the limit system in total
 velocity form (evolve_hydro): the drift freezes to -Omega x_perp and
@@ -36,7 +38,7 @@ import numpy as np
 
 from .core import (GridSpec, NumericalAbort, SimParams, WaveField, _freeze,
                    potential_gradient, rotation_generator, spectral_gradient)
-from .rays import QuadraticPhase, quadratic_phase_rhs
+from .rays import QuadraticPhase, quadratic_phase_evolve
 
 
 # ---------- periodic 4th-order stencils ----------
@@ -334,57 +336,55 @@ def cfl_limits(state: WKBState, eps: float) -> tuple[float, float]:
 def _march(alpha, beta, v, phi, drift, grid, params, eps, T, dt,
            observer, observer_stride, sponge_strength, extra_force,
            with_phi, with_drift, make_state):
-    """Shared RK4 loop for the WKB and limit-hydro systems."""
+    """Shared RK4 loop for the WKB and limit-hydro systems.
+
+    The RK4 state is (alpha, beta, v, phi); the drift is sampled from its
+    exact path on the half-step grid (with_drift) or stays at `drift`.
+    """
     n_steps = max(1, int(round(T / dt)))
     h = T / n_steps
+
+    if with_drift and T > 0:
+        path = quadratic_phase_evolve(drift, 0.5 * h, T, params)
+        if path.blown_up:
+            step = (len(path.times) - 1) // 2 + 1
+            raise NumericalAbort(f"the drift phase reaches a caustic in step {step}, "
+                                 f"after t = {path.blowup_time:.6g}", step, path.blowup_time)
+        drift_at = path.at_index
+    else:
+        def drift_at(k):
+            return drift
 
     sigma = _sponge_profile(grid, sponge_strength)
     damp = np.exp(-sigma * h)
     ref_alpha, ref_beta = alpha.copy(), beta.copy()
     ref_v = v.copy()
 
-    Sg = np.array(drift.Sigma)
-    bv = np.array(drift.b)
-    cc = float(drift.c)
-
-    def full_rhs(al, be, vv, Sg_, bv_):
-        if with_drift:
-            w, _, coupling = drift_fields(QuadraticPhase(Sg_, bv_, 0.0), grid, params)
-            dS, db_, dc_ = quadratic_phase_rhs(Sg_, bv_, params)
-        else:
-            w, _, coupling = drift_fields(QuadraticPhase.zero(grid.dim), grid, params)
-            dS, db_, dc_ = np.zeros_like(Sg_), np.zeros_like(bv_), 0.0
-        da, db, dv, dphi = _fields_rhs(al, be, vv, w, coupling, grid, params,
-                                       eps, extra_force, with_phi)
-        return da, db, dv, dphi, dS, db_, dc_
+    def rates(al, be, vv, k):
+        w, _, coupling = drift_fields(drift_at(k), grid, params)
+        return _fields_rhs(al, be, vv, w, coupling, grid, params, eps,
+                           extra_force, with_phi)
 
     t = 0.0
     if observer is not None:
-        observer(t, make_state(alpha, beta, v, phi, QuadraticPhase(Sg, bv, cc), t))
+        observer(t, make_state(alpha, beta, v, phi, drift_at(0), t))
 
     for step in range(1, n_steps + 1):
+        k0 = 2 * (step - 1)
         # a genuine blowup is reported via NumericalAbort, not warning spam
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = full_rhs(alpha, beta, v, Sg, bv)
-            k2 = full_rhs(alpha + 0.5 * h * k1[0], beta + 0.5 * h * k1[1],
-                          v + 0.5 * h * k1[2], Sg + 0.5 * h * k1[4],
-                          bv + 0.5 * h * k1[5])
-            k3 = full_rhs(alpha + 0.5 * h * k2[0], beta + 0.5 * h * k2[1],
-                          v + 0.5 * h * k2[2], Sg + 0.5 * h * k2[4],
-                          bv + 0.5 * h * k2[5])
-            k4 = full_rhs(alpha + h * k3[0], beta + h * k3[1],
-                          v + h * k3[2], Sg + h * k3[4], bv + h * k3[5])
+            k1 = rates(alpha, beta, v, k0)
+            k2 = rates(alpha + 0.5 * h * k1[0], beta + 0.5 * h * k1[1],
+                       v + 0.5 * h * k1[2], k0 + 1)
+            k3 = rates(alpha + 0.5 * h * k2[0], beta + 0.5 * h * k2[1],
+                       v + 0.5 * h * k2[2], k0 + 1)
+            k4 = rates(alpha + h * k3[0], beta + h * k3[1], v + h * k3[2], k0 + 2)
 
             alpha = alpha + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             beta = beta + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
             v = v + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
             if with_phi:
                 phi = phi + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-            if with_drift:
-                Sg = Sg + (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-                Sg = 0.5 * (Sg + Sg.T)
-                bv = bv + (h / 6.0) * (k1[5] + 2 * k2[5] + 2 * k3[5] + k4[5])
-                cc = cc + (h / 6.0) * (k1[6] + 2 * k2[6] + 2 * k3[6] + k4[6])
 
             if sponge_strength > 0:
                 alpha = ref_alpha + (alpha - ref_alpha) * damp
@@ -397,9 +397,9 @@ def _march(alpha, beta, v, phi, drift, grid, params, eps, T, dt,
             raise NumericalAbort(
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
         if observer is not None and (step % observer_stride == 0 or step == n_steps):
-            observer(t, make_state(alpha, beta, v, phi, QuadraticPhase(Sg, bv, cc), t))
+            observer(t, make_state(alpha, beta, v, phi, drift_at(2 * step), t))
 
-    return alpha, beta, v, phi, QuadraticPhase(Sg, bv, cc), t
+    return alpha, beta, v, phi, drift_at(2 * n_steps), t
 
 
 def _resolve_dt(state0, eps, T, dt, context: str):
@@ -423,11 +423,13 @@ def evolve_wkb(state0: WKBState, eps: float | None = None, T: float = 0.0,
                observer: Callable[[float, WKBState], None] | None = None,
                observer_stride: int = 1,
                sponge_strength: float = 20.0) -> WKBState:
-    """March the coupled (alpha, beta, v, phi, drift) system to time T.
+    """March (alpha, beta, v, phi) to time T under the exact drift.
 
     eps = 0 runs the formal limit system (no dispersive correction).
     When dt is omitted a step obeying the advective and dispersive
-    bounds is chosen; a supplied dt violating them is rejected.
+    bounds is chosen; a supplied dt violating them is rejected.  Raises
+    NumericalAbort, before any step, if the drift phase reaches a
+    caustic before T.
     """
     if eps is None:
         eps = state0.eps

@@ -5,25 +5,27 @@ The phase S(t, x) solves
     d_t S + (1/2)|grad S|^2 + V(x) - Omega (x_perp . grad S) = 0,
 
 whose characteristics follow the Hamiltonian H(x, p) = |p|^2/2 + V(x)
-- Omega x_perp . p:
+- Omega x_perp . p.  With the harmonic trap the ray flow is linear in
+z = (x, p): z' = M z, M = [[-Omega J, I], [-diag(omega^2), -Omega J]],
+with J the rotation generator (J x = x_perp).  Everything carried along
+a ray is a reading of its exact propagator Phi(h) = exp(h M): z and the
+frame Y = [Gamma; Sigma Gamma] advance by Phi, which gives the flow
+Jacobian Gamma(t) = dx(t)/dx(0) and the phase Hessian Sigma(t) =
+D^2 S(t, x(t)) = (Sigma Gamma) Gamma^{-1}, the rotation-coupled Riccati
+flow Sigma' = -Sigma^2 - diag(omega^2) + Omega (J^T Sigma + Sigma J).
+The action s' = |p|^2/2 - V(x) grows by a quadratic form in z.  Since
+tr(Omega J) = 0, det Gamma(t) = exp(int_0^t tr Sigma), a cross-check
+between the two readings of the frame.
 
-    x' = p - Omega J x,      p' = -diag(omega^2) x - Omega J p,
-
-with J the rotation generator (J x = x_perp).  Along a ray we carry the
-action s' = |p|^2/2 - V(x), the phase Hessian Sigma(t) = D^2 S(t, x(t))
-via the rotation-coupled Riccati flow
-
-    Sigma' = -Sigma^2 - diag(omega^2) + Omega (J^T Sigma + Sigma J),
-
-and the Jacobian Gamma(t) = dx(t)/dx(0) via Gamma' = (Sigma - Omega J)
-Gamma.  Since tr(Omega J) = 0, det Gamma(t) = exp(int_0^t tr Sigma),
-which doubles as a cross-check between the two matrix flows.  A ray is
-truncated and flagged when det Gamma falls to the caustic floor.
+A ray is truncated and flagged at a caustic, where det Gamma falls to
+CAUSTIC_DET: at a sample, or between samples on the cubic matching det
+Gamma and its Jacobi slope det Gamma tr Sigma at both ends.  The exact
+flow steps over an isotropic focus (det Gamma = cos^2 t touches zero
+without a sign change), hence the check between samples.
 
 A globally quadratic phase S = x.Sigma x/2 + b.x + c stays quadratic;
-its coefficients obey the closed system integrated by
-quadratic_phase_evolve, and that path supplies the WKB drift field
-exactly.
+quadratic_phase_evolve reads its coefficients off the ray launched from
+x = 0, and that path supplies the WKB drift field exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SimParams, eval_potential, potential_gradient, rotation_generator
+from .core import SimParams, eval_potential, rotation_generator
+
+CAUSTIC_DET = 1e-8
+"""det Gamma at or below this value marks a caustic."""
 
 
 class CausticError(RuntimeError):
@@ -85,15 +90,6 @@ class QuadraticPhase:
         return self.Sigma
 
 
-@dataclass(frozen=True)
-class SmoothPhase:
-    """Initial phase given by callables: value, gradient, hessian of S_in."""
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
-
-
 # ---------- single-ray state ----------
 
 @dataclass(frozen=True)
@@ -122,41 +118,90 @@ class Ray:
         )
 
 
-def hamiltonian_rhs(x: np.ndarray, p: np.ndarray, params: SimParams):
-    """Phase-space velocity (x', p'); batched over leading axes."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(p, dtype=float)
-    J = rotation_generator(x.shape[-1])
-    xdot = p - params.Omega * (x @ J.T)
-    pdot = -potential_gradient(x, params.omega) - params.Omega * (p @ J.T)
-    return xdot, pdot
-
-
 def hamiltonian(x: np.ndarray, p: np.ndarray, params: SimParams) -> np.ndarray:
     J = rotation_generator(np.asarray(x).shape[-1])
     return (0.5 * np.sum(p * p, axis=-1) + eval_potential(x, params.omega)
             - params.Omega * np.sum((x @ J.T) * p, axis=-1))
 
 
+# ---------- the exact propagator ----------
+
+def flow_propagator(params: SimParams, h: float, d: int):
+    """(Phi(h) - I, Q(h)) for the ray flow z' = M z over one step h.
+
+    Q(h) = int_0^h Phi^T L Phi is the action form: s' = z.L z/2 gives
+    s(h) - s(0) = z.Q z/2.  With C = [[-M^T, L], [0, M]], exp(h C) =
+    [[Phi^-T, F], [0, Phi]] and Q = Phi^T F (Van Loan, IEEE TAC 23:395,
+    1978).  exp(h C) - I is summed as a Taylor series, scaled to
+    |h C| <= 1/2 and squared back by E <- 2E + E^2; no eigen-decomposition,
+    since M is defective at Omega = omega.  The increment Phi - I keeps
+    its own digits: apply it as z + (Phi - I) z.
+    """
+    W2 = np.diag(np.asarray(params.omega, dtype=float) ** 2)
+    if W2.shape[0] != d:
+        raise ValueError(f"ray dim {d} does not match params dim {W2.shape[0]}")
+    OJ, I, n = params.Omega * rotation_generator(d), np.eye(d), 2 * d
+    M = np.block([[-OJ, I], [-W2, -OJ]])
+    L = np.block([[-W2, np.zeros((d, d))], [np.zeros((d, d)), I]])
+    A = h * np.block([[-M.T, L], [np.zeros((n, n)), M]])
+
+    norm = float(np.max(np.sum(np.abs(A), axis=1)))
+    squarings = int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0
+    A = A / 2.0 ** squarings
+    E, term = np.zeros_like(A), np.eye(2 * n)
+    for k in range(1, 60):
+        term = term @ A / k
+        if np.array_equal(E + term, E):
+            break
+        E = E + term
+    for _ in range(squarings):
+        E = 2.0 * E + E @ E
+    Q = (np.eye(n) + E[n:, n:]).T @ E[:n, n:]
+    return E[n:, n:], 0.5 * (Q + Q.T)
+
+
+def _hessian(G: np.ndarray, SG: np.ndarray) -> np.ndarray:
+    """Sigma = (Sigma Gamma) Gamma^{-1} for batched Gamma and Sigma Gamma."""
+    S = np.linalg.solve(np.swapaxes(G, -1, -2), np.swapaxes(SG, -1, -2))
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
+
+
+def _dips_to_caustic(det0, det1, slope0, slope1, h) -> np.ndarray:
+    """Where the cubic Hermite interpolant p(u) = a + b u + c u^2 + e u^3,
+    u in [0, 1], of det Gamma over a step (end values det0, det1 above
+    CAUSTIC_DET, slopes slope0, slope1) falls to CAUSTIC_DET inside it.
+
+    The Hermite weights bound p below by min(det0, det1) - (4/27) h
+    (|slope0| + |slope1|); the interior minima are computed only when
+    that bound reaches CAUSTIC_DET for some ray.
+    """
+    near = (np.minimum(det0, det1) - (4.0 / 27.0) * h * (np.abs(slope0) + np.abs(slope1))
+            <= CAUSTIC_DET)
+    if not near.any():
+        return near
+    a, b = det0, h * slope0
+    c = 3.0 * (det1 - det0) - h * (2.0 * slope0 + slope1)
+    e = 2.0 * (det0 - det1) + h * (slope0 + slope1)
+    dips = np.zeros_like(near)
+    with np.errstate(all="ignore"):
+        # roots of p'(u) = b + 2 c u + 3 e u^2 in cancellation-free form;
+        # complex or outside (0, 1) falls back to u = 0, where p = det0
+        q = -(c + np.copysign(np.sqrt(c * c - 3.0 * b * e), c))
+        for u in (q / (3.0 * e), b / q):
+            u = np.where((u > 0.0) & (u < 1.0), u, 0.0)
+            dips |= a + u * (b + u * (c + u * e)) <= CAUSTIC_DET
+    return near & dips
+
+
 # ---------- batched integration ----------
-
-def _ray_rhs(X, P, S, G, params: SimParams, J, W2):
-    """Time derivatives of the batched ray state (B,d)/(B,d,d) arrays."""
-    Om = params.Omega
-    Xd = P - Om * (X @ J.T)
-    Pd = -(W2 * X) - Om * (P @ J.T)
-    Sd = -(S @ S) - np.diag(W2) + Om * (J.T @ S + S @ J)
-    Gd = (S - Om * J) @ G
-    Ad = 0.5 * np.sum(P * P, axis=-1) - eval_potential(X, params.omega)
-    return Xd, Pd, Sd, Gd, Ad
-
 
 @dataclass
 class RayTrajectory:
     """Stored ray history plus the dense tr Sigma record for quadrature.
 
-    caustic is True when det Gamma reached the floor; the trajectory
-    then stops at caustic_time instead of the requested horizon.
+    caustic is True when det Gamma reached CAUSTIC_DET; the trajectory
+    then stops at caustic_time, the last sample before the caustic,
+    instead of the requested horizon.
     """
 
     times: np.ndarray
@@ -213,109 +258,81 @@ class RayTrajectory:
 
 
 def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
-                   store_stride: int = 1, det_floor: float = 1e-8):
-    """RK4 the whole bundle at once; returns one RayTrajectory per ray.
+                   store_stride: int = 1):
+    """Advance the whole bundle by the exact propagator; one RayTrajectory per ray.
 
-    Rays are mutually independent, so they advance as one batched state.
-    A ray whose det Gamma reaches det_floor is frozen and its stored
-    history truncated at that step.
+    Rays are mutually independent, so they advance as one batched state
+    z = (x, p) with frames Y = [Gamma; Sigma Gamma] and actions.  A ray
+    that reaches a caustic is frozen and its stored history truncated at
+    the last step before it.
     """
     if dt <= 0 or T < 0:
         raise ValueError(f"need dt > 0 and T >= 0, got dt={dt}, T={T}")
     B = len(rays)
     d = rays[0].x.shape[0]
-    J = rotation_generator(d)
-    W2 = np.asarray(params.omega, dtype=float) ** 2
-    if W2.shape[0] != d:
-        raise ValueError(f"ray dim {d} does not match params dim {W2.shape[0]}")
-
-    X = np.stack([r.x for r in rays]).astype(float)
-    P = np.stack([r.p for r in rays]).astype(float)
-    S = np.stack([r.sigma for r in rays]).astype(float)
-    G = np.stack([r.gamma for r in rays]).astype(float)
-    A = np.array([r.action for r in rays], dtype=float)
-    t0 = rays[0].t
-
     n_steps = max(1, int(round(T / dt)))
     h = T / n_steps
+    step_map, Q = flow_propagator(params, h, d)
+
+    Z = np.stack([np.concatenate([r.x, r.p]) for r in rays]).astype(float)
+    S = np.stack([r.sigma for r in rays]).astype(float)
+    G = np.stack([r.gamma for r in rays]).astype(float)
+    Y = np.concatenate([G, S @ G], axis=1)
+    A = np.array([r.action for r in rays], dtype=float)
+    det = np.linalg.det(G)
+    tr = np.trace(S, axis1=-2, axis2=-1)
+    t0 = rays[0].t
 
     active = np.ones(B, dtype=bool)
     cut_step = np.full(B, n_steps, dtype=int)
 
-    stored_steps = list(range(0, n_steps + 1, store_stride))
-    if stored_steps[-1] != n_steps:
-        stored_steps.append(n_steps)
-    store_at = set(stored_steps)
-
-    hist = {k: [] for k in ("t", "x", "p", "s", "g", "a")}
-    dense_t = np.empty(n_steps + 1)
+    store_at = set(range(0, n_steps, store_stride)) | {n_steps}
+    hist = [(Z.copy(), S.copy(), G.copy(), A.copy())]  # at the stored steps
+    dense_t = t0 + h * np.arange(n_steps + 1)
     dense_tr = np.empty((n_steps + 1, B))
-
-    def record_dense(i, t):
-        dense_t[i] = t
-        dense_tr[i] = np.trace(S, axis1=-2, axis2=-1)
-
-    def record(t):
-        hist["t"].append(t)
-        hist["x"].append(X.copy())
-        hist["p"].append(P.copy())
-        hist["s"].append(S.copy())
-        hist["g"].append(G.copy())
-        hist["a"].append(A.copy())
-
-    record_dense(0, t0)
-    if 0 in store_at:
-        record(t0)
+    dense_tr[0] = tr
 
     for step in range(1, n_steps + 1):
-        X0, P0, S0, G0, A0 = X.copy(), P.copy(), S.copy(), G.copy(), A.copy()
-        k1 = _ray_rhs(X, P, S, G, params, J, W2)
-        k2 = _ray_rhs(X + 0.5 * h * k1[0], P + 0.5 * h * k1[1], S + 0.5 * h * k1[2],
-                      G + 0.5 * h * k1[3], params, J, W2)
-        k3 = _ray_rhs(X + 0.5 * h * k2[0], P + 0.5 * h * k2[1], S + 0.5 * h * k2[2],
-                      G + 0.5 * h * k2[3], params, J, W2)
-        k4 = _ray_rhs(X + h * k3[0], P + h * k3[1], S + h * k3[2],
-                      G + h * k3[3], params, J, W2)
-        X = X + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        P = P + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        S = S + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        G = G + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-        A = A + (h / 6.0) * (k1[4] + 2 * k2[4] + 2 * k3[4] + k4[4])
-        S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        Z_new = Z + Z @ step_map.T
+        Y_new = Y + step_map @ Y
+        A_new = A + 0.5 * np.sum((Z @ Q) * Z, axis=-1)
+        G_new = Y_new[:, :d]
+        det_new = np.linalg.det(G_new)
+        ok = active & (det_new > CAUSTIC_DET) & np.isfinite(Z_new).all(axis=-1)
+        # rays that fail here are rolled back, so their Sigma is never read
+        S_new = _hessian(np.where(ok[:, None, None], G_new, np.eye(d)), Y_new[:, d:])
+        tr_new = np.trace(S_new, axis1=-2, axis2=-1)
+        ok &= ~_dips_to_caustic(det, det_new, det * tr, det_new * tr_new, h)
 
-        # frozen rays keep their pre-step state
+        # newly flagged rays keep their last good state, as frozen ones do
+        cut_step[active & ~ok] = step - 1
+        active = ok
+        if not active.any():
+            break
         if not active.all():
             frozen = ~active
-            X[frozen], P[frozen], S[frozen] = X0[frozen], P0[frozen], S0[frozen]
-            G[frozen], A[frozen] = G0[frozen], A0[frozen]
+            Z_new[frozen], Y_new[frozen], S_new[frozen] = Z[frozen], Y[frozen], S[frozen]
+            A_new[frozen], det_new[frozen], tr_new[frozen] = A[frozen], det[frozen], tr[frozen]
+        Z, Y, S, A, det, tr = Z_new, Y_new, S_new, A_new, det_new, tr_new
 
-        det = np.linalg.det(G)
-        bad = active & ((det <= det_floor) | ~np.isfinite(det)
-                        | ~np.isfinite(X).all(axis=-1))
-        if bad.any():
-            # roll the newly flagged rays back to the last good state
-            X[bad], P[bad], S[bad] = X0[bad], P0[bad], S0[bad]
-            G[bad], A[bad] = G0[bad], A0[bad]
-            cut_step[bad] = step - 1
-            active &= ~bad
-
-        record_dense(step, t0 + step * h)
+        dense_tr[step] = tr
         if step in store_at:
-            record(t0 + step * h)
+            hist.append((Z.copy(), S.copy(), Y[:, :d].copy(), A.copy()))
 
-    times = np.array(hist["t"])
-    steps_arr = np.array(stored_steps)
+    steps_arr = np.array(sorted(store_at))
+    times = dense_t[steps_arr[:len(hist)]]
+    z, sig, gam, act = (np.stack(snaps, axis=1) for snaps in zip(*hist))
     out = []
     for i in range(B):
         n_keep = int(np.searchsorted(steps_arr, cut_step[i], side="right"))
         caustic = bool(cut_step[i] < n_steps)
         out.append(RayTrajectory(
             times=times[:n_keep],
-            x=np.array([h[i] for h in hist["x"][:n_keep]]),
-            p=np.array([h[i] for h in hist["p"][:n_keep]]),
-            sigma=np.array([h[i] for h in hist["s"][:n_keep]]),
-            gamma=np.array([h[i] for h in hist["g"][:n_keep]]),
-            action=np.array([h[i] for h in hist["a"][:n_keep]]),
+            x=z[i, :n_keep, :d],
+            p=z[i, :n_keep, d:],
+            sigma=sig[i, :n_keep],
+            gamma=gam[i, :n_keep],
+            action=act[i, :n_keep],
             dense_times=dense_t[:cut_step[i] + 1].copy(),
             dense_tr_sigma=dense_tr[:cut_step[i] + 1, i].copy(),
             caustic=caustic,
@@ -325,22 +342,11 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
 
 
 def integrate_ray(ray: Ray, dt: float, T: float, params: SimParams,
-                  store_stride: int = 1, det_floor: float = 1e-8) -> RayTrajectory:
-    return integrate_rays([ray], dt, T, params, store_stride, det_floor)[0]
+                  store_stride: int = 1) -> RayTrajectory:
+    return integrate_rays([ray], dt, T, params, store_stride)[0]
 
 
 # ---------- quadratic phase flow ----------
-
-def quadratic_phase_rhs(Sigma: np.ndarray, b: np.ndarray, params: SimParams):
-    """Coefficient ODE for a globally quadratic solution of the phase equation."""
-    J = rotation_generator(b.shape[0])
-    W2 = np.diag(np.asarray(params.omega, dtype=float) ** 2)
-    Om = params.Omega
-    Sd = -(Sigma @ Sigma) - W2 + Om * (J.T @ Sigma + Sigma @ J)
-    bd = -(Sigma @ b) + Om * (J.T @ b)
-    cd = -0.5 * float(b @ b)
-    return Sd, bd, cd
-
 
 @dataclass
 class QuadraticPhaseTrajectory:
@@ -359,50 +365,29 @@ class QuadraticPhaseTrajectory:
 
 
 def quadratic_phase_evolve(phase0: QuadraticPhase, dt: float, T: float,
-                           params: SimParams, store_stride: int = 1,
-                           blowup_norm: float = 1e8) -> QuadraticPhaseTrajectory:
-    """RK4 the (Sigma, b, c) system; truncate and flag on caustic blow-up.
+                           params: SimParams,
+                           store_stride: int = 1) -> QuadraticPhaseTrajectory:
+    """Coefficients of the quadratic phase, read off the ray from x = 0.
 
-    Sigma' = -Sigma^2 - diag(omega^2) + Omega (J^T Sigma + Sigma J)
-    b'     = -Sigma b + Omega J^T b
-    c'     = -|b|^2 / 2
+    Along the ray (u, p, Sigma, s) launched from the origin,
+    S(t, u) = s and grad S(t, u) = p, so
 
-    Symmetry of Sigma is preserved by the flow and re-imposed after
-    every step to keep roundoff from accumulating.
+        Sigma = the ray's Sigma,   b = p - Sigma u,   c = s - b.u - u.Sigma u/2.
+
+    This solves Sigma' = -Sigma^2 - diag(omega^2) + Omega (J^T Sigma +
+    Sigma J), b' = -Sigma b + Omega J^T b, c' = -|b|^2/2 exactly.  The
+    ray's caustic is the Riccati blow-up: the trajectory stops there and
+    is flagged blown_up, with blowup_time the last time stored before it.
     """
-    if dt <= 0 or T < 0:
-        raise ValueError(f"need dt > 0 and T >= 0, got dt={dt}, T={T}")
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
-    S = np.array(phase0.Sigma, dtype=float)
-    b = np.array(phase0.b, dtype=float)
-    c = float(phase0.c)
-
-    ts, Ss, bs, cs = [0.0], [S.copy()], [b.copy()], [c]
-    blown, t_blow = False, None
-
-    for step in range(1, n_steps + 1):
-        k1 = quadratic_phase_rhs(S, b, params)
-        k2 = quadratic_phase_rhs(S + 0.5 * h * k1[0], b + 0.5 * h * k1[1], params)
-        k3 = quadratic_phase_rhs(S + 0.5 * h * k2[0], b + 0.5 * h * k2[1], params)
-        k4 = quadratic_phase_rhs(S + h * k3[0], b + h * k3[1], params)
-        S_new = S + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        b_new = b + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        c_new = c + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-        S_new = 0.5 * (S_new + S_new.T)
-        if not np.isfinite(S_new).all() or np.linalg.norm(S_new) > blowup_norm:
-            blown, t_blow = True, step * h
-            break
-        S, b, c = S_new, b_new, c_new
-        if step % store_stride == 0 or step == n_steps:
-            ts.append(step * h)
-            Ss.append(S.copy())
-            bs.append(b.copy())
-            cs.append(c)
-
+    ray = integrate_ray(Ray.from_phase(np.zeros(phase0.dim), phase0), dt, T,
+                        params, store_stride)
+    u, S = ray.x, ray.sigma
+    Su = np.einsum("tij,tj->ti", S, u)
+    b = ray.p - Su
+    c = ray.action - np.sum(b * u, axis=-1) - 0.5 * np.sum(u * Su, axis=-1)
     return QuadraticPhaseTrajectory(
-        times=np.array(ts), Sigma=np.array(Ss), b=np.array(bs), c=np.array(cs),
-        blown_up=blown, blowup_time=t_blow)
+        times=ray.times, Sigma=S, b=b, c=c,
+        blown_up=ray.caustic, blowup_time=ray.caustic_time)
 
 
 # ---------- general phase evaluation by shooting ----------
@@ -416,14 +401,21 @@ def eval_phase_general(t: float, x_target: Sequence[float], phase_in,
     Finds the launch point x0 whose ray lands on x_target at time t;
     the flow Jacobian Gamma supplies the exact Newton matrix.  Returns
     (S, grad S, Hess S).  Raises CausticError if the connecting ray
-    crosses a caustic and ShootingError if Newton does not converge.
+    crosses a caustic before its last step, and ShootingError if Newton
+    does not converge or a ray meets its caustic inside the last step:
+    t is then a focal time, where the landing map is singular.
     """
     x_target = np.asarray(x_target, dtype=float)
     scale = 1.0 + float(np.linalg.norm(x_target))
+    n_steps = max(1, int(round(t / dt)))
 
     def land(x0: np.ndarray) -> RayTrajectory:
         traj = integrate_ray(Ray.from_phase(x0, phase_in), dt, t, params,
-                             store_stride=max(1, int(round(t / dt))))
+                             store_stride=n_steps)
+        if traj.caustic and len(traj.dense_times) == n_steps:
+            raise ShootingError(
+                f"ray from {x0.tolist()} focuses within one step of t = {t:.6g}; "
+                f"the landing map is singular there")
         if traj.caustic:
             raise CausticError(
                 f"ray from {x0.tolist()} hits a caustic at t = {traj.caustic_time:.6g} "

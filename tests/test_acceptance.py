@@ -243,8 +243,8 @@ def test_A9_vortex_carries_quantized_angular_momentum():
 
 
 def test_A10_anisotropic_trap_torque_drives_the_angular_momentum():
-    # Omega = 0 isolates the anisotropy coefficient itself: the rotation
-    # bookkeeping then drops out of the balance on both sides.
+    # The torque law dm/dt = (omega1^2 - omega2^2) <x1 x2> holds at every
+    # Omega; here (omega1^2 - omega2^2) = 3.
     grid = GridSpec.square(256, 8.0)
     sim = SimParams(eps=0.125, Omega=0.0, omega=(2.0, 1.0))
     psi0 = WaveField(make_gaussian(grid, center=(1.0, 0.5)), 0.0, grid, sim)
@@ -254,12 +254,11 @@ def test_A10_anisotropic_trap_torque_drives_the_angular_momentum():
                observer_stride=4)
     t = np.array([r.t for r in records])
     m = np.array([r.m_eps for r in records])
-    n = np.array([r.n for r in records])
     xy = np.array([r.xy for r in records])
 
     fd = (m[2:] - m[:-2]) / (t[2:] - t[:-2])
-    torque = sim.Omega * n[1:-1] + 3.0 * xy[1:-1]
+    torque = 3.0 * xy[1:-1]
     rel = float(np.max(np.abs(fd - torque)) / np.max(np.abs(torque)))
     assert verdict("A10", rel < 1e-3,
-                   f"relative gap between dm/dt - Omega n and "
+                   f"relative gap between dm/dt and "
                    f"3<x1 x2> is {rel:.3e}, tolerance 1e-3")

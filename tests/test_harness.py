@@ -270,6 +270,11 @@ def test_cli_maps_numerical_aborts_to_exit_3(tmp_path, capsys):
                      "sigma0 = 0.3 0.1 0.1 -0.2\n")
     assert cli.main(["run-hydro", path]) == 3
     assert capsys.readouterr().err.startswith("numerical abort:")
+    # a flat carrier phase in the unit trap focuses at t = pi/2, so the
+    # WKB drift meets a caustic inside the run
+    path = write_cfg(tmp_path / "focus.cfg", tmp_path / "f", "T = 2.0\n")
+    assert cli.main(["run-wkb", path]) == 3
+    assert "caustic" in capsys.readouterr().err
 
 
 def test_cli_sweep_prints_slopes_and_validates_eps(tmp_path, capsys):

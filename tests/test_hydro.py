@@ -21,6 +21,7 @@ from rotorwkb import (
     SimParams,
     WKBState,
     accumulate_phi,
+    assemble_matrices,
     cfl_limits,
     circulation,
     evolve_hydro,
@@ -191,6 +192,48 @@ def test_affine_velocity_on_hydro_route_aborts():
     h0 = HydroState(rho0, v0, 0.0, grid, params)
     with pytest.raises(NumericalAbort):
         evolve_hydro(h0, T=3.0, dt=0.01)
+
+
+def test_drift_caustic_aborts_the_wkb_march():
+    # a flat phase in the unit trap focuses at pi/2: the drift path is read
+    # off the exact flow before marching, and the run stops in the step
+    # that holds the focus, [1.57, 1.58] at dt = 0.01
+    grid = GridSpec.square(32, 4.0)
+    params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
+    state = WKBState.from_amplitude(make_gaussian(grid), grid, params)
+    with pytest.raises(NumericalAbort, match="caustic") as info:
+        evolve_wkb(state, T=2.0, dt=0.01)
+    assert info.value.step == 158
+    assert info.value.t == pytest.approx(np.pi / 2.0, abs=0.005)
+
+
+# ---------- hyperbolic structure ----------
+
+
+def test_symmetrizer_makes_the_flux_matrices_symmetric():
+    # Q A and Q B are symmetric at any state with f' > 0 and any direction
+    rng = np.random.default_rng(7)
+    grid = GridSpec.square(8, 2.0)
+    for _ in range(50):
+        params = SimParams(eps=0.25, Omega=float(rng.uniform(0.0, 2.0)),
+                           omega=(1.0, 1.3))
+        raw = rng.standard_normal((2, 2))
+        drift = QuadraticPhase(raw + raw.T, rng.standard_normal(2),
+                               float(rng.standard_normal()))
+        state = WKBState(rng.standard_normal(grid.shape),
+                         rng.standard_normal(grid.shape),
+                         rng.standard_normal((2,) + grid.shape),
+                         np.zeros(grid.shape), drift, 0.25, 0.0, grid, params)
+        at = tuple(int(i) for i in rng.integers(0, 8, size=2))
+        mats = assemble_matrices(state, rng.standard_normal(2), at)
+        for F in (mats.Q @ mats.A, mats.Q @ mats.B):
+            np.testing.assert_allclose(F, F.T, rtol=0.0,
+                                       atol=1e-14 * np.max(np.abs(F)))
+
+    linear = SimParams(eps=0.25, nonlinearity=Nonlinearity.none())
+    state = WKBState.from_amplitude(make_gaussian(grid), grid, linear)
+    with pytest.raises(ValueError, match="f' > 0"):
+        assemble_matrices(state, (1.0, 0.0), (4, 4))
 
 
 # ---------- step control ----------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rotorwkb import (
+    CausticError,
     QuadraticPhase,
     Ray,
     ShootingError,
@@ -23,11 +24,31 @@ from rotorwkb import (
     quadratic_phase_evolve,
     subquadratic_monitor,
 )
+from rotorwkb.rays import flow_propagator
 
 
 def _rot(theta):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def test_propagator_matches_closed_form_at_the_defective_point():
+    # Omega = omega = 1: M is defective, and h = 2.5 takes the squaring
+    # path.  The isotropic flow is the lab-frame oscillator turned by
+    # R(Omega h); L = diag(-I, I) is rotation invariant, so the action
+    # form Q is the lab-frame one.
+    params = SimParams(eps=0.25, Omega=1.0, omega=(1.0, 1.0))
+    h = 2.5
+    c, s = np.cos(h), np.sin(h)
+    oscillator = np.block([[c * np.eye(2), s * np.eye(2)],
+                           [-s * np.eye(2), c * np.eye(2)]])
+    phi = np.kron(np.eye(2), _rot(h)) @ oscillator
+    c2, s2 = np.cos(2 * h), np.sin(2 * h)
+    q = np.block([[-0.5 * s2 * np.eye(2), -0.5 * (1 - c2) * np.eye(2)],
+                  [-0.5 * (1 - c2) * np.eye(2), 0.5 * s2 * np.eye(2)]])
+    step, Q = flow_propagator(params, h, 2)
+    np.testing.assert_allclose(step + np.eye(4), phi, atol=1e-14)
+    np.testing.assert_allclose(Q, q, atol=1e-14)
 
 
 def test_from_phase_reads_initial_data():
@@ -130,6 +151,17 @@ def test_caustic_truncates_trajectory():
     assert np.all(np.linalg.det(traj.gamma) > 0)
 
 
+def test_focus_between_samples_is_flagged():
+    # det Gamma = cos(t)^2 touches zero at pi/2 without changing sign; at
+    # dt = 1e-3 both neighbouring samples sit above the caustic floor
+    params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
+    traj = integrate_ray(Ray.from_phase((1.0, 0.0), QuadraticPhase.zero(2)),
+                         dt=1e-3, T=2.0, params=params)
+    assert traj.caustic
+    assert abs(traj.caustic_time - np.pi / 2.0) <= 1e-3
+    assert traj.times[-1] <= traj.caustic_time + 1e-12
+
+
 def test_riccati_blowup_flagged():
     params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
     traj = quadratic_phase_evolve(QuadraticPhase.zero(2), dt=1e-4, T=3.0,
@@ -187,6 +219,13 @@ def test_unreachable_target_raises():
     with pytest.raises(ShootingError):
         eval_phase_general(np.pi / 2.0, (1.0, 0.0), QuadraticPhase.zero(2),
                            params)
+
+
+def test_shot_past_a_focus_raises_caustic_error():
+    # every ray of the flat phase crosses the focus at pi/2 < t
+    params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
+    with pytest.raises(CausticError):
+        eval_phase_general(2.0, (0.5, 0.0), QuadraticPhase.zero(2), params)
 
 
 def test_subquadratic_monitor():
