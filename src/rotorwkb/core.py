@@ -11,8 +11,9 @@ x_perp = (x2, -x1).  In 3d the rotation acts in the (x1, x2) plane only.
 
 This module owns the parameter and field containers, the periodic grid,
 WKB assembly psi = a exp(i Phi / eps), reference initial data, spectral
-derivatives, and Sobolev-type norms.  Field containers are immutable
-after construction so they can be shared across threads.
+derivatives, Sobolev-type norms, and the time grid every marcher
+shares.  Field containers are immutable after construction, and they
+and the parameters pickle, so they cross into worker processes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,9 @@ class NumericalAbort(RuntimeError):
         super().__init__(message)
         self.step = step
         self.t = t
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.step, self.t)
 
 
 # ---------- nonlinearity ----------
@@ -78,6 +82,10 @@ class Nonlinearity:
             return {"cubic": Nonlinearity.cubic, "none": Nonlinearity.none}[name]()
         except KeyError:
             raise ValueError(f"unknown nonlinearity {name!r}; known: cubic, none")
+
+    def __reduce__(self):
+        # the callables are lambdas, which do not pickle; the name rebuilds them
+        return Nonlinearity.from_name, (self.name,)
 
 
 # ---------- parameters ----------
@@ -137,6 +145,20 @@ def potential_gradient(x: np.ndarray, omega: Sequence[float]) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     w2 = np.asarray(omega, dtype=float) ** 2
     return w2 * x
+
+
+# ---------- time grid ----------
+
+def time_grid(T: float, dt: float) -> tuple[int, float]:
+    """Step count n and uniform step h = T / n of a march to T.
+
+    n = ceil(T / dt), so no step is longer than the dt a caller
+    validated; a relative slack of 1e-9 keeps T / dt steps when T is a
+    multiple of dt up to roundoff (h then exceeds dt by that roundoff
+    at most).  T = 0 gives one step of length 0.
+    """
+    n = max(1, math.ceil(T / dt * (1.0 - 1e-9)))
+    return n, T / n
 
 
 # ---------- grid ----------
@@ -284,6 +306,10 @@ class WaveField:
             raise ValueError(
                 f"field shape {v.shape} does not match grid {self.grid.shape}")
         object.__setattr__(self, "values", _freeze(v.astype(complex, copy=False)))
+
+    def __reduce__(self):
+        # through the constructor, so the unpickled samples are read-only too
+        return WaveField, (self.values, self.t, self.grid, self.params)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

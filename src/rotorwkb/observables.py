@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (GridSpec, SimParams, WaveField, integrate, potential_grid,
-                   spectral_gradient)
+                   spectral_gradient, time_grid)
 from .hydro import HydroState, WKBState
 
 CSV_HEADER = "t,mass,energy,m_eps,n,X,xy"
@@ -275,8 +275,7 @@ def integrate_isotropic_moments(p: MomentODEParams, T: float, dt: float = 5e-4):
                          2.0 * (p.E0 - p.Omega * m) - 2.0 * w2 * X,
                          2.0 * n])
 
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
+    n_steps, h = time_grid(T, dt)
     y = np.array([p.m0, p.n0, p.X0], dtype=float)
     out = np.empty((n_steps + 1, 3))
     ts = np.linspace(0.0, T, n_steps + 1)

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import SimParams, eval_potential, rotation_generator
+from .core import SimParams, eval_potential, rotation_generator, time_grid
 
 CAUSTIC_DET = 1e-8
 """det Gamma at or below this value marks a caustic."""
@@ -270,8 +270,7 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
         raise ValueError(f"need dt > 0 and T >= 0, got dt={dt}, T={T}")
     B = len(rays)
     d = rays[0].x.shape[0]
-    n_steps = max(1, int(round(T / dt)))
-    h = T / n_steps
+    n_steps, h = time_grid(T, dt)
     step_map, Q = flow_propagator(params, h, d)
 
     Z = np.stack([np.concatenate([r.x, r.p]) for r in rays]).astype(float)
@@ -407,7 +406,7 @@ def eval_phase_general(t: float, x_target: Sequence[float], phase_in,
     """
     x_target = np.asarray(x_target, dtype=float)
     scale = 1.0 + float(np.linalg.norm(x_target))
-    n_steps = max(1, int(round(t / dt)))
+    n_steps = time_grid(t, dt)[0]
 
     def land(x0: np.ndarray) -> RayTrajectory:
         traj = integrate_ray(Ray.from_phase(x0, phase_in), dt, t, params,

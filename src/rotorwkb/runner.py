@@ -4,8 +4,10 @@ run() executes one configured solver and leaves a self-describing
 directory behind: observables CSV, field snapshots, and a manifest
 listing every artifact with its checksum.  epsilon_sweep() drives the
 semiclassical convergence study against an eps = 0 reference computed
-from the same initial data.  All file writes are deterministic except
-wall-clock entries in the manifest.
+from the same initial data; the reference and each (eps, route) member
+run as independent tasks in worker processes, and the parent scores
+them.  All file writes are deterministic except wall-clock entries in
+the manifest and the sweep summary.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from hashlib import sha256
 from pathlib import Path
@@ -301,6 +302,8 @@ class SweepError(RuntimeError):
 
 
 def _worker_count(n_jobs: int) -> int:
+    """Worker processes for n_jobs tasks: ROTORWKB_THREADS when set, else
+    the CPUs this process may run on (processes beyond them only queue)."""
     raw = os.environ.get("ROTORWKB_THREADS", "")
     if raw:
         try:
@@ -309,9 +312,26 @@ def _worker_count(n_jobs: int) -> int:
             raise ConfigError(f"ROTORWKB_THREADS must be an integer, got {raw!r}")
         if cap < 1:
             raise ConfigError(f"ROTORWKB_THREADS must be >= 1, got {cap}")
+    elif hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
     return max(1, min(cap, n_jobs))
+
+
+def _reference_task(cfg: RunConfig) -> tuple[WKBState, float]:
+    """The eps = 0 WKB march of the sweep's data: (final state, wall time)."""
+    t0 = time.perf_counter()
+    ref = evolve_wkb(build_wkb_state(cfg, eps=0.0), eps=0.0, T=cfg.T, dt=cfg.dt,
+                     sponge_strength=cfg.sponge)
+    return ref, time.perf_counter() - t0
+
+
+def _member_task(cfg: RunConfig) -> tuple[object, float]:
+    """One sweep member, a full run(): (final state, wall time)."""
+    t0 = time.perf_counter()
+    final = run(cfg).final
+    return final, time.perf_counter() - t0
 
 
 def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
@@ -319,8 +339,16 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
 
     Per eps: an NLS run scores density (L1) and current (L2) against the
     limit (rho, rho v); a WKB run scores the complex amplitude (L2)
-    against the limit amplitude.  Runs execute concurrently; metrics
-    are reduced in the given (strictly decreasing) eps order.
+    against the limit amplitude.  The reference and every (eps, route)
+    run are separate tasks on a pool of worker processes, capped by
+    ROTORWKB_THREADS; metrics are reduced in the given (strictly
+    decreasing) eps order.  A failed member drops its eps and raises
+    SweepError after sweep.json is written; a failed reference raises
+    its own exception and writes nothing.
+
+    Workers start by the spawn method, which is safe in a caller that
+    has threads; they import the caller's main module, so a script that
+    calls this keeps its top-level code under `if __name__ == "__main__"`.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3:
@@ -333,46 +361,57 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     base_out = Path(cfg.outdir)
     base_out.mkdir(parents=True, exist_ok=True)
 
-    ref0 = build_wkb_state(cfg, eps=0.0)
-    ref = evolve_wkb(ref0, eps=0.0, T=cfg.T, dt=cfg.dt,
-                     sponge_strength=cfg.sponge)
-    rho0 = ref.density()
-    v0 = ref.total_velocity()
-    a0 = ref.amplitude()
+    # imported here, not at module level: multiprocessing adds over 10 ms
+    # to every import of the package, and only sweeps use it
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    routes = [r for r in ("wkb", "nls") if mode in (r, "both")]
     grid = cfg.grid
     cell = grid.cell
-
-    def job(eps: float) -> tuple[dict[str, float], float]:
-        t0 = time.perf_counter()
-        out: dict[str, float] = {}
-        sim_e = replace(cfg.sim, eps=eps)
-        if mode in ("nls", "both"):
-            cfg_e = replace(cfg, sim=sim_e, solver="nls", snapshot_stride=0,
-                            outdir=str(base_out / f"nls_eps_{eps:g}"))
-            psi = run(cfg_e).final
-            rho_e = psi.density()
-            out["density_l1"] = float(integrate(np.abs(rho_e - rho0), grid))
-            J = probability_current(psi)
-            diff2 = sum((J[j] - rho0 * v0[j]) ** 2 for j in range(grid.dim))
-            out["current_l2"] = float(np.sqrt(cell * np.sum(diff2)))
-        if mode in ("wkb", "both"):
-            cfg_e = replace(cfg, sim=sim_e, solver="wkb", snapshot_stride=0,
-                            outdir=str(base_out / f"wkb_eps_{eps:g}"))
-            state = run(cfg_e).final
-            diff = state.amplitude() - a0
-            out["amplitude_l2"] = float(np.sqrt(cell * np.sum(np.abs(diff) ** 2)))
-        return out, time.perf_counter() - t0
-
     results: dict[float, tuple[dict[str, float], float]] = {}
     failure: tuple[float, Exception] | None = None
-    with ThreadPoolExecutor(max_workers=_worker_count(len(eps_list))) as pool:
-        futures = {eps: pool.submit(job, eps) for eps in eps_list}
+    with ProcessPoolExecutor(max_workers=_worker_count(1 + len(routes) * len(eps_list)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        # longest first: the reference and the WKB members, then the NLS ones
+        ref_future = pool.submit(_reference_task, cfg)
+        futures = {}
+        for route in routes:
+            for eps in eps_list:
+                futures[route, eps] = pool.submit(_member_task, replace(
+                    cfg, sim=replace(cfg.sim, eps=eps), solver=route,
+                    snapshot_stride=0, outdir=str(base_out / f"{route}_eps_{eps:g}")))
+        try:
+            ref = ref_future.result()[0]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        rho0 = ref.density()
+        v0 = ref.total_velocity()
+        a0 = ref.amplitude()
+
         for eps in eps_list:
+            out: dict[str, float] = {}
+            wall = 0.0
             try:
-                results[eps] = futures[eps].result()
+                if "nls" in routes:
+                    psi, took = futures["nls", eps].result()
+                    wall += took
+                    rho_e = psi.density()
+                    out["density_l1"] = float(integrate(np.abs(rho_e - rho0), grid))
+                    J = probability_current(psi)
+                    diff2 = sum((J[j] - rho0 * v0[j]) ** 2 for j in range(grid.dim))
+                    out["current_l2"] = float(np.sqrt(cell * np.sum(diff2)))
+                if "wkb" in routes:
+                    state, took = futures["wkb", eps].result()
+                    wall += took
+                    diff = state.amplitude() - a0
+                    out["amplitude_l2"] = float(np.sqrt(cell * np.sum(np.abs(diff) ** 2)))
             except Exception as exc:
                 if failure is None:
                     failure = (eps, exc)
+                continue
+            results[eps] = (out, wall)
 
     done_eps = [e for e in eps_list if e in results]
     metric_names = sorted({k for e in done_eps for k in results[e][0]})

@@ -90,6 +90,41 @@ def test_nonlinearity_cubic_and_none():
     assert Nonlinearity.cubic() == Nonlinearity.from_name("cubic")
 
 
+# ---------- time grid ----------
+
+
+def test_time_grid_never_steps_past_dt():
+    from rotorwkb.core import time_grid
+    from rotorwkb.hydro import WKBState, evolve_wkb
+    from rotorwkb.observables import MomentODEParams, integrate_isotropic_moments
+    from rotorwkb.rays import QuadraticPhase, Ray, integrate_ray
+
+    dt = 0.01
+    n, h = time_grid(3.4 * dt, dt)
+    assert n == 4 and h <= dt
+    # multiples of dt up to roundoff keep their step count
+    for T, dt_k, count in [(0.02, 1e-3, 20), (0.04, 1e-3, 40), (0.1, 1e-3, 100),
+                           (0.1, 1e-4, 1000), (0.3, 1e-3, 300), (0.0, 1e-3, 1)]:
+        assert time_grid(T, dt_k)[0] == count
+
+    # every marcher takes 4 steps of 0.0085 for T = 3.4 dt
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
+    traj = integrate_ray(Ray.from_phase(np.zeros(2), QuadraticPhase.zero(2)),
+                         dt, 3.4 * dt, params)
+    assert len(traj.times) == 5 and np.diff(traj.times).max() <= dt
+
+    grid = GridSpec.square(16, 4.0)
+    times = []
+    evolve_wkb(WKBState.from_amplitude(make_gaussian(grid), grid, params),
+               T=3.4 * dt, dt=dt, observer=lambda t, s: times.append(t))
+    assert len(times) == 5 and np.diff(times).max() <= dt
+
+    moments = MomentODEParams(Omega=0.5, omega=(1.0, 1.0), E0=1.0, m0=0.2,
+                              n0=0.0, X0=0.5)
+    ts = integrate_isotropic_moments(moments, T=3.4 * dt, dt=dt)[0]
+    assert len(ts) == 5 and np.diff(ts).max() <= dt
+
+
 # ---------- grids ----------
 
 

@@ -4,6 +4,8 @@ convergence bookkeeping, and exit-code contracts."""
 import csv
 import hashlib
 import json
+import os
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 
 from rotorwkb import cli
 from rotorwkb.config import ConfigError, RunConfig, serialize
-from rotorwkb.core import GridSpec, Nonlinearity, SimParams
-from rotorwkb.runner import (SweepError, build_ray_bundle, compare_fields,
+from rotorwkb.core import GridSpec, Nonlinearity, NumericalAbort, SimParams
+from rotorwkb.runner import (SweepError, _worker_count, build_ray_bundle,
+                             build_wavefield, build_wkb_state, compare_fields,
                              epsilon_sweep, run)
 from rotorwkb.snapshots import save_field
 
@@ -222,6 +225,77 @@ def test_thread_cap_env_is_validated(tmp_path, monkeypatch):
     monkeypatch.setenv("ROTORWKB_THREADS", "1")
     result = epsilon_sweep(cfg, (0.25, 0.125, 0.0625), mode="wkb")
     assert result.eps == (0.25, 0.125, 0.0625)
+
+
+def test_sweep_values_survive_a_pickle_round_trip(tmp_path):
+    # the configs, final states and exceptions the sweep's worker
+    # processes receive and send back
+    abort = pickle.loads(pickle.dumps(NumericalAbort("blew up", 7, 0.25)))
+    assert (str(abort), abort.step, abort.t) == ("blew up", 7, 0.25)
+
+    for name in ("cubic", "none"):
+        sim = SimParams(eps=0.25, nonlinearity=Nonlinearity.from_name(name))
+        cfg = small_cfg(tmp_path, sim=sim, grid=GridSpec.square(16, 4.0))
+        back = pickle.loads(pickle.dumps(cfg))
+        assert back == cfg
+        rho = np.linspace(0.0, 2.0, 5)
+        np.testing.assert_array_equal(back.sim.nonlinearity.f(rho),
+                                      cfg.sim.nonlinearity.f(rho))
+
+    for state in (build_wavefield(cfg), build_wkb_state(cfg)):
+        back = pickle.loads(pickle.dumps(state))
+        assert type(back) is type(state)
+        for name, value in vars(state).items():
+            got = getattr(back, name)
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(got, value)
+                assert not got.flags.writeable
+            elif name != "drift":
+                assert got == value
+        if hasattr(state, "drift"):
+            np.testing.assert_array_equal(back.drift.Sigma, state.drift.Sigma)
+
+
+def test_reference_abort_reaches_the_sweep_caller(tmp_path):
+    # the flat phase of test_drift_caustic_aborts_the_wkb_march: the eps = 0
+    # reference runs in a worker process, and its abort arrives intact
+    cfg = small_cfg(tmp_path / "sweep", grid=GridSpec.square(32, 4.0),
+                    T=2.0, dt=0.01)
+    with pytest.raises(NumericalAbort, match="caustic") as info:
+        epsilon_sweep(cfg, (0.25, 0.125, 0.0625), mode="wkb")
+    assert info.value.step == 158
+    assert info.value.t == pytest.approx(np.pi / 2.0, abs=0.005)
+    assert not (tmp_path / "sweep" / "sweep.json").exists()
+
+
+def test_sweep_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    def sweep(workers):
+        monkeypatch.setenv("ROTORWKB_THREADS", str(workers))
+        out = tmp_path / f"w{workers}"
+        epsilon_sweep(small_cfg(out, grid=GridSpec.square(32, 4.0), T=0.02),
+                      (0.5, 0.25, 0.125), mode="both")
+        summary = json.loads((out / "sweep.json").read_text())
+        del summary["wall_times_s"]
+        hashes = {m.parent.name: json.loads(m.read_text())["artifacts"]
+                  for m in out.glob("*/manifest.json")}
+        return summary, hashes
+
+    one, two = sweep(1), sweep(2)
+    assert one == two
+    assert len(one[1]) == 6
+
+
+def test_worker_count_is_capped_by_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("ROTORWKB_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert _worker_count(7) == 3
+    assert _worker_count(2) == 2
+    monkeypatch.setenv("ROTORWKB_THREADS", "5")
+    assert _worker_count(7) == 5
+    monkeypatch.delenv("ROTORWKB_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _worker_count(7) == 7
 
 
 # ---------- command line ----------
