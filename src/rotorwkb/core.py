@@ -187,6 +187,10 @@ class GridSpec:
             if not L > 0:
                 raise ValueError(f"half_extent must be positive, got {L}")
 
+    def __reduce__(self):
+        # the cached coordinate arrays are rebuilt on demand, not shipped
+        return GridSpec, (self.half_extent, self.points)
+
     @staticmethod
     def square(points: int, half_extent: float, dim: int = 2) -> "GridSpec":
         return GridSpec((float(half_extent),) * dim, (int(points),) * dim)

@@ -24,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GridSpec, NumericalAbort, SimParams, WaveField, potential_grid
+from .core import (GridSpec, NumericalAbort, SimParams, WaveField, potential_grid,
+                   time_grid)
 
 
 def _k1_multiplier(grid: GridSpec, params: SimParams, dt: float) -> np.ndarray:
@@ -46,57 +47,57 @@ def _k2_multiplier(grid: GridSpec, params: SimParams, dt: float) -> np.ndarray:
 _K1_AXES = {2: (0,), 3: (0, 2)}
 
 
+def _kinetic(values: np.ndarray, mult: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    return np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
+
+
+def _potential_nonlinear(values: np.ndarray, potential: np.ndarray,
+                         params: SimParams, dt: float) -> np.ndarray:
+    rho = values.real ** 2 + values.imag ** 2
+    f = params.nonlinearity.f(rho)
+    return values * np.exp((-1j * dt / params.eps) * (potential + f))
+
+
 class SplitStepPlan:
     """Precomputed multipliers for repeated Strang steps at a fixed dt."""
 
     def __init__(self, grid: GridSpec, params: SimParams, dt: float):
         if dt == 0:
             raise ValueError("dt must be nonzero")
-        self.grid = grid
         self.params = params
         self.dt = dt
         self.k1_half = _k1_multiplier(grid, params, 0.5 * dt)
         self.k2_full = _k2_multiplier(grid, params, dt)
         self.potential = potential_grid(grid, params.omega)
-        self.fft_axes = _K1_AXES[grid.dim]
-
-    def _phase_half(self, values: np.ndarray) -> np.ndarray:
-        rho = values.real ** 2 + values.imag ** 2
-        f = self.params.nonlinearity.f(rho)
-        return np.exp((-0.5j * self.dt / self.params.eps) * (self.potential + f))
+        self.k1_axes = _K1_AXES[grid.dim]
 
     def step(self, values: np.ndarray) -> np.ndarray:
         """One Strang step on a bare sample array."""
-        values = values * self._phase_half(values)
-        values = np.fft.ifftn(self.k1_half * np.fft.fftn(values, axes=self.fft_axes),
-                              axes=self.fft_axes)
-        values = np.fft.ifft(self.k2_full * np.fft.fft(values, axis=1), axis=1)
-        values = np.fft.ifftn(self.k1_half * np.fft.fftn(values, axes=self.fft_axes),
-                              axes=self.fft_axes)
-        return values * self._phase_half(values)
+        half = 0.5 * self.dt
+        values = _potential_nonlinear(values, self.potential, self.params, half)
+        values = _kinetic(values, self.k1_half, self.k1_axes)
+        values = _kinetic(values, self.k2_full, (1,))
+        values = _kinetic(values, self.k1_half, self.k1_axes)
+        return _potential_nonlinear(values, self.potential, self.params, half)
 
 
 def step_kinetic_rotation_axis1(psi: WaveField, dt: float) -> WaveField:
     """Exact substep K1 over dt (plus the z-kinetic factor in 3d)."""
-    axes = _K1_AXES[psi.grid.dim]
     mult = _k1_multiplier(psi.grid, psi.params, dt)
-    out = np.fft.ifftn(mult * np.fft.fftn(psi.values, axes=axes), axes=axes)
+    out = _kinetic(psi.values, mult, _K1_AXES[psi.grid.dim])
     return WaveField(out, psi.t + dt, psi.grid, psi.params)
 
 
 def step_kinetic_rotation_axis2(psi: WaveField, dt: float) -> WaveField:
     """Exact substep K2 over dt."""
-    mult = _k2_multiplier(psi.grid, psi.params, dt)
-    out = np.fft.ifft(mult * np.fft.fft(psi.values, axis=1), axis=1)
+    out = _kinetic(psi.values, _k2_multiplier(psi.grid, psi.params, dt), (1,))
     return WaveField(out, psi.t + dt, psi.grid, psi.params)
 
 
 def step_potential_nonlinear(psi: WaveField, dt: float) -> WaveField:
     """Pointwise phase substep; |psi| is exactly invariant."""
-    rho = psi.density()
-    f = psi.params.nonlinearity.f(rho)
-    V = potential_grid(psi.grid, psi.params.omega)
-    out = psi.values * np.exp((-1j * dt / psi.params.eps) * (V + f))
+    out = _potential_nonlinear(psi.values, potential_grid(psi.grid, psi.params.omega),
+                               psi.params, dt)
     return WaveField(out, psi.t + dt, psi.grid, psi.params)
 
 
@@ -111,10 +112,10 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     """March psi0 forward by duration T with Strang steps of size dt.
 
     A negative dt integrates backward (the substeps are all reversible).
-    dt should divide T; a shorter final step absorbs any remainder.  The
-    observer, when given, is called at t = 0, every observer_stride
-    steps, and at the final time.  Non-finite samples abort the run with
-    the offending step index.
+    The march takes ceil(T / |dt|) equal steps (core.time_grid); T = 0
+    takes none.  The observer, when given, is called at t = 0, every
+    observer_stride steps, and at the final time.  Non-finite samples
+    abort the run with the offending step index.
     """
     if T < 0:
         raise ValueError(f"duration T must be nonnegative, got {T}")
@@ -123,33 +124,20 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     if observer_stride < 1:
         raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
 
-    n_full = int(np.floor(T / abs(dt) + 1e-9))
-    remainder = T - n_full * abs(dt)
-    if remainder <= 1e-9 * max(T, abs(dt)):
-        remainder = 0.0
-
-    plan = SplitStepPlan(psi0.grid, psi0.params, dt)
-    sign = 1.0 if dt > 0 else -1.0
+    n_steps, h = time_grid(T, abs(dt)) if T > 0 else (0, abs(dt))
+    h = h if dt > 0 else -h
+    plan = SplitStepPlan(psi0.grid, psi0.params, h)
     values = np.array(psi0.values)
     t = psi0.t
 
-    def wrap(v: np.ndarray, tt: float) -> WaveField:
-        return WaveField(v, tt, psi0.grid, psi0.params)
-
     if observer is not None:
         observer(t, psi0)
-    total_steps = n_full + (1 if remainder else 0)
-    for step in range(1, total_steps + 1):
-        if step <= n_full:
-            values = plan.step(values)
-            t = psi0.t + step * dt
-        else:
-            tail = SplitStepPlan(psi0.grid, psi0.params, sign * remainder)
-            values = tail.step(values)
-            t = psi0.t + sign * T
+    for step in range(1, n_steps + 1):
+        values = plan.step(values)
+        t = psi0.t + step * h
         if not np.isfinite(values).all():
             raise NumericalAbort(
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
-        if observer is not None and (step % observer_stride == 0 or step == total_steps):
-            observer(t, wrap(values, t))
-    return wrap(values, t)
+        if observer is not None and (step % observer_stride == 0 or step == n_steps):
+            observer(t, WaveField(values, t, psi0.grid, psi0.params))
+    return WaveField(values, t, psi0.grid, psi0.params)

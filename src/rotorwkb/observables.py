@@ -72,17 +72,33 @@ def mass(psi: WaveField) -> float:
     return float(integrate(psi.density(), psi.grid))
 
 
-def probability_current(psi: WaveField) -> np.ndarray:
-    """J = eps Im(conj(psi) grad psi), shape (dim, *grid.shape)."""
-    grad = spectral_gradient(psi.values, psi.grid)
+def _current(psi: WaveField, grad: np.ndarray) -> np.ndarray:
     return psi.params.eps * np.imag(np.conj(psi.values)[None] * grad)
 
 
-def _x_perp_dot_grad(psi: WaveField) -> np.ndarray:
-    """x_perp . grad psi = x2 d1 psi - x1 d2 psi (acts in the x1-x2 plane)."""
-    grad = spectral_gradient(psi.values, psi.grid)
-    X1, X2 = psi.grid.meshes[0], psi.grid.meshes[1]
-    return X2 * grad[0] - X1 * grad[1]
+def probability_current(psi: WaveField) -> np.ndarray:
+    """J = eps Im(conj(psi) grad psi), shape (dim, *grid.shape)."""
+    return _current(psi, spectral_gradient(psi.values, psi.grid))
+
+
+def _x_perp_dot(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """x_perp . a = x2 a1 - x1 a2 (acts in the x1-x2 plane)."""
+    X1, X2 = grid.meshes[0], grid.meshes[1]
+    return X2 * a[0] - X1 * a[1]
+
+
+def _energy(psi: WaveField, params: SimParams, rho: np.ndarray, grad: np.ndarray,
+            x_perp_grad: np.ndarray) -> float:
+    eps = params.eps
+    grid = psi.grid
+    kinetic = 0.5 * eps * eps * np.sum(np.abs(grad) ** 2, axis=0)
+    trap = potential_grid(grid, params.omega) * rho
+    inter = params.nonlinearity.antiderivative(rho)
+    total = complex(integrate(kinetic + trap + inter, grid))
+    if params.Omega != 0.0:
+        rot = 1j * eps * params.Omega * np.conj(psi.values) * x_perp_grad
+        total += complex(integrate(rot, grid))
+    return _require_real(total, "energy")
 
 
 def energy(psi: WaveField, params: SimParams | None = None) -> float:
@@ -93,37 +109,26 @@ def energy(psi: WaveField, params: SimParams | None = None) -> float:
     with G the antiderivative of f.  The rotation term is real
     analytically; its roundoff residue is checked before discarding.
     """
-    if params is None:
-        params = psi.params
-    eps = params.eps
-    grid = psi.grid
-    grad = spectral_gradient(psi.values, grid)
-    rho = psi.density()
-    kinetic = 0.5 * eps * eps * np.sum(np.abs(grad) ** 2, axis=0)
-    trap = potential_grid(grid, params.omega) * rho
-    inter = params.nonlinearity.antiderivative(rho)
-    total = complex(integrate(kinetic + trap + inter, grid))
-    if params.Omega != 0.0:
-        X1, X2 = grid.meshes[0], grid.meshes[1]
-        rot = 1j * eps * params.Omega * np.conj(psi.values) * (
-            X2 * grad[0] - X1 * grad[1])
-        total += complex(integrate(rot, grid))
-    return _require_real(total, "energy")
+    grad = spectral_gradient(psi.values, psi.grid)
+    return _energy(psi, psi.params if params is None else params, psi.density(),
+                   grad, _x_perp_dot(grad, psi.grid))
+
+
+def _angular_momentum(psi: WaveField, eps: float, x_perp_grad: np.ndarray) -> float:
+    val = 1j * eps * complex(integrate(np.conj(psi.values) * x_perp_grad, psi.grid))
+    return _require_real(val, "angular momentum")
 
 
 def angular_momentum(psi: WaveField, eps: float | None = None) -> float:
     """m_eps = Re[i eps int conj(psi) x_perp . grad psi dx]."""
-    if eps is None:
-        eps = psi.params.eps
-    val = 1j * eps * complex(integrate(np.conj(psi.values) * _x_perp_dot_grad(psi),
-                                       psi.grid))
-    return _require_real(val, "angular momentum")
+    grad = spectral_gradient(psi.values, psi.grid)
+    return _angular_momentum(psi, psi.params.eps if eps is None else eps,
+                             _x_perp_dot(grad, psi.grid))
 
 
 def limit_angular_momentum(rho: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
     """m = -int rho x_perp . v dx (note the minus sign)."""
-    X1, X2 = grid.meshes[0], grid.meshes[1]
-    return float(integrate(-rho * (X2 * v[0] - X1 * v[1]), grid))
+    return float(integrate(-rho * _x_perp_dot(v, grid), grid))
 
 
 def moments_density(rho: np.ndarray, v: np.ndarray | None, grid: GridSpec):
@@ -139,41 +144,48 @@ def moments_density(rho: np.ndarray, v: np.ndarray | None, grid: GridSpec):
     return n, Xm, xy
 
 
-def moments(psi: WaveField):
-    """(n, X, xy) of a wavefunction; n = int x . J dx is vacuum-safe."""
-    rho = psi.density()
-    J = probability_current(psi)
+def _moments(psi: WaveField, rho: np.ndarray, grad: np.ndarray):
+    J = _current(psi, grad)
     xJ = sum(psi.grid.meshes[j] * J[j] for j in range(psi.grid.dim))
     n = float(integrate(xJ, psi.grid))
     _, Xm, xy = moments_density(rho, None, psi.grid)
     return n, Xm, xy
 
 
+def moments(psi: WaveField):
+    """(n, X, xy) of a wavefunction; n = int x . J dx is vacuum-safe."""
+    return _moments(psi, psi.density(), spectral_gradient(psi.values, psi.grid))
+
+
 # ---------- records ----------
 
 def record_from_wavefield(psi: WaveField) -> ObservableRecord:
-    n, Xm, xy = moments(psi)
-    return ObservableRecord(t=psi.t, mass=mass(psi), energy=energy(psi),
-                            m_eps=angular_momentum(psi), n=n, X=Xm, xy=xy)
+    """All observables of psi from one spectral gradient."""
+    rho = psi.density()
+    grad = spectral_gradient(psi.values, psi.grid)
+    n, Xm, xy = _moments(psi, rho, grad)
+    x_perp_grad = _x_perp_dot(grad, psi.grid)
+    e = _energy(psi, psi.params, rho, grad, x_perp_grad)
+    m_eps = _angular_momentum(psi, psi.params.eps, x_perp_grad)
+    return ObservableRecord(t=psi.t, mass=float(integrate(rho, psi.grid)), energy=e,
+                            m_eps=m_eps, n=n, X=Xm, xy=xy)
 
 
-def limit_energy(rho: np.ndarray, v: np.ndarray, grid: GridSpec,
-                 params: SimParams) -> float:
-    """Energy of the limit system: int rho |v|^2/2 + V rho + G(rho) + Omega m."""
+def _limit_record(t: float, rho: np.ndarray, v: np.ndarray, grid: GridSpec,
+                  params: SimParams) -> ObservableRecord:
+    """Limit functionals; energy int rho |v|^2/2 + V rho + G(rho) dx + Omega m."""
+    n, Xm, xy = moments_density(rho, v, grid)
+    m = limit_angular_momentum(rho, v, grid)
     kin = 0.5 * rho * sum(v[j] ** 2 for j in range(grid.dim))
     trap = potential_grid(grid, params.omega) * rho
     inter = params.nonlinearity.antiderivative(rho)
-    m = limit_angular_momentum(rho, v, grid)
-    return float(integrate(kin + trap + inter, grid)) + params.Omega * m
+    e = float(integrate(kin + trap + inter, grid)) + params.Omega * m
+    return ObservableRecord(t=t, mass=float(integrate(rho, grid)), energy=e,
+                            m_eps=m, n=n, X=Xm, xy=xy)
 
 
 def record_from_hydro(h: HydroState) -> ObservableRecord:
-    rho, v = np.asarray(h.rho), np.asarray(h.v)
-    n, Xm, xy = moments_density(rho, v, h.grid)
-    return ObservableRecord(
-        t=h.t, mass=float(integrate(rho, h.grid)),
-        energy=limit_energy(rho, v, h.grid, h.params),
-        m_eps=limit_angular_momentum(rho, v, h.grid), n=n, X=Xm, xy=xy)
+    return _limit_record(h.t, np.asarray(h.rho), np.asarray(h.v), h.grid, h.params)
 
 
 def record_from_wkb(state: WKBState) -> ObservableRecord:
@@ -181,13 +193,8 @@ def record_from_wkb(state: WKBState) -> ObservableRecord:
     wavefunction when eps > 0, limit functionals at eps = 0."""
     if state.eps > 0:
         return record_from_wavefield(state.to_wavefield())
-    rho = state.density()
-    v = state.total_velocity()
-    n, Xm, xy = moments_density(rho, v, state.grid)
-    return ObservableRecord(
-        t=state.t, mass=float(integrate(rho, state.grid)),
-        energy=limit_energy(rho, v, state.grid, state.params),
-        m_eps=limit_angular_momentum(rho, v, state.grid), n=n, X=Xm, xy=xy)
+    return _limit_record(state.t, state.density(), state.total_velocity(),
+                         state.grid, state.params)
 
 
 def records_to_csv(records: Sequence[ObservableRecord]) -> str:

@@ -243,8 +243,7 @@ def run(cfg: RunConfig) -> RunResult:
         artifacts.append(path)
 
     csv_path = outdir / "observables.csv"
-    csv_path.write_text(records_to_csv(records) if records
-                        else "t,mass,energy,m_eps,n,X,xy\n", encoding="utf-8")
+    csv_path.write_text(records_to_csv(records), encoding="utf-8")
     artifacts.append(csv_path)
 
     if final_values is not None:

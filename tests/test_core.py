@@ -5,6 +5,8 @@ rotation generator entries) or closed-form identities (single-mode
 Sobolev norms, Gaussian profiles).
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,7 @@ def test_nonlinearity_cubic_and_none():
 def test_time_grid_never_steps_past_dt():
     from rotorwkb.core import time_grid
     from rotorwkb.hydro import WKBState, evolve_wkb
+    from rotorwkb.nls import evolve_nls
     from rotorwkb.observables import MomentODEParams, integrate_isotropic_moments
     from rotorwkb.rays import QuadraticPhase, Ray, integrate_ray
 
@@ -119,6 +122,11 @@ def test_time_grid_never_steps_past_dt():
                T=3.4 * dt, dt=dt, observer=lambda t, s: times.append(t))
     assert len(times) == 5 and np.diff(times).max() <= dt
 
+    times = []
+    evolve_nls(WaveField(make_gaussian(grid), 0.0, grid, params), T=3.4 * dt, dt=dt,
+               observer=lambda t, s: times.append(t))
+    assert len(times) == 5 and np.diff(times).max() <= dt
+
     moments = MomentODEParams(Omega=0.5, omega=(1.0, 1.0), E0=1.0, m0=0.2,
                               n0=0.0, X0=0.5)
     ts = integrate_isotropic_moments(moments, T=3.4 * dt, dt=dt)[0]
@@ -126,6 +134,17 @@ def test_time_grid_never_steps_past_dt():
 
 
 # ---------- grids ----------
+
+
+def test_grid_pickles_without_its_cached_arrays():
+    grid = GridSpec.square(128, 8.0)
+    fresh = len(pickle.dumps(grid))
+    grid.wavenumber_mesh(0)
+    _ = grid.meshes
+    assert "meshes" in vars(grid) and "wavenumbers" in vars(grid)
+    payload = pickle.dumps(grid)
+    assert len(payload) == fresh
+    assert pickle.loads(payload) == grid
 
 
 def test_grid_axes_and_cell():

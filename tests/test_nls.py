@@ -176,14 +176,15 @@ def test_observer_cadence_and_remainder_step():
     params = SimParams(eps=0.25)
     psi0 = WaveField(make_gaussian(grid).astype(complex), 0.0, grid, params)
     dt = 1e-3
-    T = 10.5 * dt  # ten whole steps plus a half-size remainder
+    T = 10.5 * dt  # not a multiple of dt: eleven equal steps of T / 11
+    h = T / 11
     times = []
     out = evolve_nls(psi0, T=T, dt=dt,
                      observer=lambda t, p: times.append(t),
                      observer_stride=3)
     assert out.t == pytest.approx(T, abs=1e-15)
     np.testing.assert_allclose(
-        times, [0.0, 3 * dt, 6 * dt, 9 * dt, T], atol=1e-14)
+        times, [0.0, 3 * h, 6 * h, 9 * h, T], atol=1e-14)
 
 
 def test_nonfinite_samples_abort():

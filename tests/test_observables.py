@@ -18,11 +18,14 @@ import pytest
 
 from rotorwkb import (
     GridSpec,
+    HydroState,
     MomentODEParams,
     Nonlinearity,
     ObservableRecord,
+    QuadraticPhase,
     SimParams,
     WaveField,
+    WKBState,
     am_relation_residual,
     angular_momentum,
     dominant_frequency,
@@ -38,7 +41,9 @@ from rotorwkb import (
     moment_ode_rhs,
     moments,
     probability_current,
+    record_from_hydro,
     record_from_wavefield,
+    record_from_wkb,
     records_from_csv,
     records_to_csv,
     wkb_assemble,
@@ -163,6 +168,49 @@ def test_record_validation_and_csv_round_trip():
     with pytest.raises(ValueError):
         ObservableRecord(t=0.0, mass=np.nan, energy=0.0, m_eps=0.0, n=0.0,
                          X=0.0, xy=0.0)
+
+
+def _rotating_state():
+    grid = GridSpec.square(64, 8.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.5))
+    X1, X2 = grid.meshes
+    return wkb_assemble(make_gaussian(grid, center=(1.0, 0.5)),
+                        0.1 * X1 * X2 + 0.3 * X1, 0.25, grid, params)
+
+
+def test_record_equals_the_quantities_taken_one_at_a_time():
+    psi = _rotating_state()
+    n, X, xy = moments(psi)
+    expect = ObservableRecord(t=psi.t, mass=mass(psi), energy=energy(psi),
+                              m_eps=angular_momentum(psi), n=n, X=X, xy=xy)
+    assert record_from_wavefield(psi) == expect  # the same bits, not approx
+
+
+def test_record_takes_one_spectral_gradient(monkeypatch):
+    import rotorwkb.observables as observables
+
+    calls = []
+    original = observables.spectral_gradient
+
+    def counting(values, grid):
+        calls.append(grid)
+        return original(values, grid)
+
+    monkeypatch.setattr(observables, "spectral_gradient", counting)
+    record_from_wavefield(_rotating_state())
+    assert len(calls) == 1
+
+
+def test_limit_wkb_record_is_the_hydro_record():
+    grid = GridSpec.square(64, 8.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.5))
+    drift = QuadraticPhase(np.array([[0.2, 0.1], [0.1, -0.1]]), np.array([0.3, -0.2]))
+    X1, X2 = grid.meshes
+    state = replace(WKBState.from_amplitude(make_gaussian(grid, center=(1.0, 0.5)),
+                                            grid, params, drift=drift, eps=0.0),
+                    v=np.stack([0.1 * X2, -0.05 * X1]), t=0.25)
+    hydro = HydroState(state.density(), state.total_velocity(), state.t, grid, params)
+    assert record_from_wkb(state) == record_from_hydro(hydro)
 
 
 # ---------- moment ODE layer ----------
