@@ -283,6 +283,11 @@ def spectral_gradient(values: np.ndarray, grid: GridSpec) -> np.ndarray:
     return np.stack(parts)
 
 
+def current_from_gradient(values: np.ndarray, grad: np.ndarray, eps: float) -> np.ndarray:
+    """J = eps Im(conj(psi) grad psi) from samples and their gradient."""
+    return eps * np.imag(np.conj(values)[None] * grad)
+
+
 # ---------- fields ----------
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -37,8 +37,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .core import (GridSpec, NumericalAbort, SimParams, WaveField, _freeze,
-                   potential_gradient, rotation_generator, spectral_gradient,
-                   time_grid)
+                   current_from_gradient, potential_gradient, rotation_generator,
+                   spectral_gradient, time_grid)
 from .rays import QuadraticPhase, quadratic_phase_evolve
 
 
@@ -552,7 +552,7 @@ def madelung_extract(psi: WaveField, floor: float = 1e-12) -> MadelungFields:
     """
     rho = psi.density()
     grad = spectral_gradient(psi.values, psi.grid)
-    current = psi.params.eps * np.imag(np.conj(psi.values)[None] * grad)
+    current = current_from_gradient(psi.values, grad, psi.params.eps)
     v = current / np.maximum(rho, floor * rho.max())[None]
     return MadelungFields(rho=rho, v=v, current=current)
 

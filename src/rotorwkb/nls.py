@@ -16,6 +16,16 @@ axis, so each substep is a diagonal unit-modulus multiplier: every
 substep conserves the discrete L^2 mass to machine precision, and P
 leaves |psi| pointwise invariant.  In 3d the plain z-kinetic factor
 rides along with K1.
+
+evolve_nls applies one P per step: the P(dt/2) that closes step n and
+the P(dt/2) that opens step n+1 act on the same modulus, so their phases
+add and they merge into one P(dt).  A march of n steps is then
+
+    P(dt/2) (K P(dt))^(n-1) K P(dt/2),    K = K1(dt/2) K2(dt) K1(dt/2),
+
+equal to n palindromes up to roundoff.  The march splits P(dt) back into
+two halves only after a step the observer sees and after the last step,
+so every observed state and the final state are the plain palindrome's.
 """
 
 from __future__ import annotations
@@ -48,14 +58,27 @@ _K1_AXES = {2: (0,), 3: (0, 2)}
 
 
 def _kinetic(values: np.ndarray, mult: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    return np.fft.ifftn(mult * np.fft.fftn(values, axes=axes), axes=axes)
+    spec = np.fft.fftn(values, axes=axes)
+    spec *= mult
+    return np.fft.ifftn(spec, axes=axes)
 
 
 def _potential_nonlinear(values: np.ndarray, potential: np.ndarray,
                          params: SimParams, dt: float) -> np.ndarray:
+    """values * exp(i theta), theta = -dt (V + f(|values|^2)) / eps.
+
+    The factor is built as cos theta + i sin theta in one complex buffer,
+    the same bits as np.exp on the imaginary argument without its
+    complex temporaries.
+    """
     rho = values.real ** 2 + values.imag ** 2
-    f = params.nonlinearity.f(rho)
-    return values * np.exp((-1j * dt / params.eps) * (potential + f))
+    theta = potential + params.nonlinearity.f(rho)
+    theta *= -dt / params.eps
+    out = np.empty_like(values)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    out *= values
+    return out
 
 
 class SplitStepPlan:
@@ -71,14 +94,21 @@ class SplitStepPlan:
         self.potential = potential_grid(grid, params.omega)
         self.k1_axes = _K1_AXES[grid.dim]
 
-    def step(self, values: np.ndarray) -> np.ndarray:
-        """One Strang step on a bare sample array."""
+    def step(self, values: np.ndarray, lead: bool = True, join: bool = False) -> np.ndarray:
+        """One Strang step on a bare sample array.
+
+        The defaults give the palindrome.  join=True closes with P(dt),
+        this step's closing half merged with the next step's opening
+        half; the next step must then pass lead=False to skip its own.
+        """
         half = 0.5 * self.dt
-        values = _potential_nonlinear(values, self.potential, self.params, half)
+        if lead:
+            values = _potential_nonlinear(values, self.potential, self.params, half)
         values = _kinetic(values, self.k1_half, self.k1_axes)
         values = _kinetic(values, self.k2_full, (1,))
         values = _kinetic(values, self.k1_half, self.k1_axes)
-        return _potential_nonlinear(values, self.potential, self.params, half)
+        return _potential_nonlinear(values, self.potential, self.params,
+                                    self.dt if join else half)
 
 
 def step_kinetic_rotation_axis1(psi: WaveField, dt: float) -> WaveField:
@@ -113,9 +143,11 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
 
     A negative dt integrates backward (the substeps are all reversible).
     The march takes ceil(T / |dt|) equal steps (core.time_grid); T = 0
-    takes none.  The observer, when given, is called at t = 0, every
-    observer_stride steps, and at the final time.  Non-finite samples
-    abort the run with the offending step index.
+    takes none.  Adjacent P halves are merged into one P(dt) except
+    around an observed step (module docstring).  The observer, when
+    given, is called at t = 0, every observer_stride steps, and at the
+    final time.  Non-finite samples abort the run with the offending
+    step index.
     """
     if T < 0:
         raise ValueError(f"duration T must be nonnegative, got {T}")
@@ -132,12 +164,17 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
 
     if observer is not None:
         observer(t, psi0)
+    lead = True
     for step in range(1, n_steps + 1):
-        values = plan.step(values)
+        observed = observer is not None and (step % observer_stride == 0
+                                             or step == n_steps)
+        join = step < n_steps and not observed
+        values = plan.step(values, lead=lead, join=join)
+        lead = not join
         t = psi0.t + step * h
         if not np.isfinite(values).all():
             raise NumericalAbort(
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
-        if observer is not None and (step % observer_stride == 0 or step == n_steps):
+        if observed:
             observer(t, WaveField(values, t, psi0.grid, psi0.params))
     return WaveField(values, t, psi0.grid, psi0.params)

@@ -34,8 +34,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (GridSpec, SimParams, WaveField, integrate, potential_grid,
-                   spectral_gradient, time_grid)
+from .core import (GridSpec, SimParams, WaveField, current_from_gradient, integrate,
+                   potential_grid, spectral_gradient, time_grid)
 from .hydro import HydroState, WKBState
 
 CSV_HEADER = "t,mass,energy,m_eps,n,X,xy"
@@ -72,13 +72,10 @@ def mass(psi: WaveField) -> float:
     return float(integrate(psi.density(), psi.grid))
 
 
-def _current(psi: WaveField, grad: np.ndarray) -> np.ndarray:
-    return psi.params.eps * np.imag(np.conj(psi.values)[None] * grad)
-
-
 def probability_current(psi: WaveField) -> np.ndarray:
     """J = eps Im(conj(psi) grad psi), shape (dim, *grid.shape)."""
-    return _current(psi, spectral_gradient(psi.values, psi.grid))
+    return current_from_gradient(psi.values, spectral_gradient(psi.values, psi.grid),
+                                 psi.params.eps)
 
 
 def _x_perp_dot(a: np.ndarray, grid: GridSpec) -> np.ndarray:
@@ -87,8 +84,9 @@ def _x_perp_dot(a: np.ndarray, grid: GridSpec) -> np.ndarray:
     return X2 * a[0] - X1 * a[1]
 
 
-def _energy(psi: WaveField, params: SimParams, rho: np.ndarray, grad: np.ndarray,
+def _energy(psi: WaveField, rho: np.ndarray, grad: np.ndarray,
             x_perp_grad: np.ndarray) -> float:
+    params = psi.params
     eps = params.eps
     grid = psi.grid
     kinetic = 0.5 * eps * eps * np.sum(np.abs(grad) ** 2, axis=0)
@@ -101,29 +99,29 @@ def _energy(psi: WaveField, params: SimParams, rho: np.ndarray, grad: np.ndarray
     return _require_real(total, "energy")
 
 
-def energy(psi: WaveField, params: SimParams | None = None) -> float:
+def energy(psi: WaveField) -> float:
     """Total energy: kinetic + trap + interaction + rotation coupling.
 
     E = int eps^2/2 |grad psi|^2 + V |psi|^2 + G(|psi|^2)
         + Re(i eps Omega conj(psi) x_perp . grad psi) dx,
-    with G the antiderivative of f.  The rotation term is real
-    analytically; its roundoff residue is checked before discarding.
+    with G the antiderivative of f and eps, Omega, V, f from psi.params.
+    The rotation term is real analytically; its roundoff residue is
+    checked before discarding.
     """
     grad = spectral_gradient(psi.values, psi.grid)
-    return _energy(psi, psi.params if params is None else params, psi.density(),
-                   grad, _x_perp_dot(grad, psi.grid))
+    return _energy(psi, psi.density(), grad, _x_perp_dot(grad, psi.grid))
 
 
-def _angular_momentum(psi: WaveField, eps: float, x_perp_grad: np.ndarray) -> float:
-    val = 1j * eps * complex(integrate(np.conj(psi.values) * x_perp_grad, psi.grid))
+def _angular_momentum(psi: WaveField, x_perp_grad: np.ndarray) -> float:
+    val = (1j * psi.params.eps
+           * complex(integrate(np.conj(psi.values) * x_perp_grad, psi.grid)))
     return _require_real(val, "angular momentum")
 
 
-def angular_momentum(psi: WaveField, eps: float | None = None) -> float:
-    """m_eps = Re[i eps int conj(psi) x_perp . grad psi dx]."""
+def angular_momentum(psi: WaveField) -> float:
+    """m_eps = Re[i eps int conj(psi) x_perp . grad psi dx], eps from psi.params."""
     grad = spectral_gradient(psi.values, psi.grid)
-    return _angular_momentum(psi, psi.params.eps if eps is None else eps,
-                             _x_perp_dot(grad, psi.grid))
+    return _angular_momentum(psi, _x_perp_dot(grad, psi.grid))
 
 
 def limit_angular_momentum(rho: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
@@ -145,7 +143,7 @@ def moments_density(rho: np.ndarray, v: np.ndarray | None, grid: GridSpec):
 
 
 def _moments(psi: WaveField, rho: np.ndarray, grad: np.ndarray):
-    J = _current(psi, grad)
+    J = current_from_gradient(psi.values, grad, psi.params.eps)
     xJ = sum(psi.grid.meshes[j] * J[j] for j in range(psi.grid.dim))
     n = float(integrate(xJ, psi.grid))
     _, Xm, xy = moments_density(rho, None, psi.grid)
@@ -165,8 +163,8 @@ def record_from_wavefield(psi: WaveField) -> ObservableRecord:
     grad = spectral_gradient(psi.values, psi.grid)
     n, Xm, xy = _moments(psi, rho, grad)
     x_perp_grad = _x_perp_dot(grad, psi.grid)
-    e = _energy(psi, psi.params, rho, grad, x_perp_grad)
-    m_eps = _angular_momentum(psi, psi.params.eps, x_perp_grad)
+    e = _energy(psi, rho, grad, x_perp_grad)
+    m_eps = _angular_momentum(psi, x_perp_grad)
     return ObservableRecord(t=psi.t, mass=float(integrate(rho, psi.grid)), energy=e,
                             m_eps=m_eps, n=n, X=Xm, xy=xy)
 

@@ -10,6 +10,7 @@ internals.
 import numpy as np
 import pytest
 
+from rotorwkb import nls
 from rotorwkb import (
     GridSpec,
     Nonlinearity,
@@ -209,3 +210,53 @@ def test_mass_conserved_along_full_model_run():
                observer_stride=10)
     drift = max(abs(m - masses[0]) for m in masses) / masses[0]
     assert drift < 1e-13
+
+
+@pytest.mark.parametrize("dim, omega", [(2, (1.0, 1.5)), (3, (1.0, 1.5, 2.0))])
+def test_merged_march_is_the_palindrome(dim, omega):
+    # evolve_nls merges the closing and opening P halves of adjacent
+    # steps; every state it hands out must still be the plain palindrome's.
+    # The 3d case runs K1 along axes (0, 2).
+    grid = GridSpec.square(32 if dim == 2 else 16, 4.0, dim=dim)
+    params = SimParams(eps=0.25, Omega=0.9, omega=omega)
+    X = grid.meshes
+    a = make_gaussian(grid, center=(0.5, -0.25) + (0.0,) * (dim - 2))
+    psi0 = wkb_assemble(a, 0.1 * X[0] * X[1] + 0.2 * X[0], 0.25, grid, params)
+    dt, stride = 1e-2, 3
+    seen = {}
+    out = evolve_nls(psi0, T=10 * dt, dt=dt, observer_stride=stride,
+                     observer=lambda t, p: seen.setdefault(round(t / dt), p))
+    assert sorted(seen) == [0, 3, 6, 9, 10]
+    psi = psi0
+    for step in range(1, 11):
+        psi = strang_step(psi, dt)
+        if step in seen:
+            np.testing.assert_allclose(seen[step].values, psi.values, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(out.values, psi.values, rtol=0, atol=1e-13)
+    m0 = mass(psi0)
+    for p in list(seen.values()) + [out]:
+        assert abs(mass(p) - m0) / m0 < 1e-13
+
+
+@pytest.mark.parametrize("n, stride, interior", [(10, 3, 3), (10, 1, 9), (10, 20, 0),
+                                                  (7, None, 0)])
+def test_march_applies_one_potential_kick_per_step(monkeypatch, n, stride, interior):
+    # n steps with k observed steps before the last take n + 1 + k
+    # potential kicks: one per step, one extra opening half, and one
+    # extra half wherever the march splits for the observer.
+    calls = []
+    real = nls._potential_nonlinear
+
+    def counting(*args, **kwargs):
+        calls.append(args[-1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nls, "_potential_nonlinear", counting)
+    grid = GridSpec.square(16, 4.0)
+    params = SimParams(eps=0.25, Omega=0.5)
+    psi0 = WaveField(make_gaussian(grid).astype(complex), 0.0, grid, params)
+    dt = 1e-3
+    observer = None if stride is None else (lambda t, p: None)
+    evolve_nls(psi0, T=n * dt, dt=dt, observer=observer, observer_stride=stride or 1)
+    assert len(calls) == n + 1 + interior
+    assert sum(calls) == pytest.approx(n * dt, rel=1e-12)
