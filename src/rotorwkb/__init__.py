@@ -29,8 +29,7 @@ from .observables import (MomentODEParams, ObservableRecord, am_relation_residua
                           records_from_csv, records_to_csv)
 from .rays import (CausticError, QuadraticPhase, QuadraticPhaseTrajectory, Ray,
                    RayTrajectory, ShootingError, eval_phase_general, hamiltonian,
-                   integrate_ray, integrate_rays, quadratic_phase_evolve,
-                   subquadratic_monitor)
+                   integrate_ray, integrate_rays, quadratic_phase_evolve)
 from .runner import (RunResult, SweepError, SweepResult, build_hydro_state,
                      build_ray_bundle, build_wavefield, build_wkb_state,
                      compare_fields, epsilon_sweep, run)

@@ -80,9 +80,12 @@ def _fail(section: str, key: str, why: str):
 
 def _floats(section: str, key: str, raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.split())
+        vals = tuple(float(tok) for tok in raw.split())
     except ValueError:
         _fail(section, key, f"expected numbers, got {raw!r}")
+    if not all(math.isfinite(v) for v in vals):
+        _fail(section, key, f"must be finite, got {raw!r}")
+    return vals
 
 
 def _one_float(section: str, key: str, raw: str) -> float:
@@ -256,9 +259,6 @@ def _parse_phase(run_kv: dict[str, str], dim: int) -> PhaseSpec:
     if len(b0) != dim:
         _fail("run", "b0", f"expected {dim} components")
     c0 = _one_float("run", "c0", run_kv.get("c0", "0"))
-    for key, vals in (("sigma0", sigma0), ("b0", b0), ("c0", (c0,))):
-        if not all(math.isfinite(v) for v in vals):
-            _fail("run", key, "must be finite")
     return PhaseSpec(kind=kind, sigma0=sigma0, b0=b0, c0=c0, path=path)
 
 

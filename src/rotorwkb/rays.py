@@ -26,12 +26,15 @@ without a sign change), hence the check between samples.
 A globally quadratic phase S = x.Sigma x/2 + b.x + c stays quadratic;
 quadratic_phase_evolve reads its coefficients off the ray launched from
 x = 0, and that path supplies the WKB drift field exactly.
+eval_phase_general reads S, grad S and Hess S at one point off the ray
+launched from that point, by a Taylor expansion about where it lands
+that is exact for the quadratic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +49,7 @@ class CausticError(RuntimeError):
 
 
 class ShootingError(RuntimeError):
-    """Newton shooting for a target point did not converge."""
+    """Phase evaluation was requested at a focal time of the landing map."""
 
 
 # ---------- phase descriptions ----------
@@ -389,26 +392,34 @@ def quadratic_phase_evolve(phase0: QuadraticPhase, dt: float, T: float,
         blown_up=ray.caustic, blowup_time=ray.caustic_time)
 
 
-# ---------- general phase evaluation by shooting ----------
+# ---------- phase evaluation at a point ----------
 
-def eval_phase_general(t: float, x_target: Sequence[float], phase_in,
-                       params: SimParams, dt: float = 1e-3,
-                       max_iter: int = 50, tol: float = 1e-10,
-                       escape_radius: float = 1e6):
-    """Phase value, gradient, Hessian at (t, x_target) by Newton shooting.
+def eval_phase_general(t: float, x_target: Sequence[float], phase_in: QuadraticPhase,
+                       params: SimParams, dt: float = 1e-3):
+    """Phase value, gradient, Hessian at (t, x_target), read off one ray.
 
-    Finds the launch point x0 whose ray lands on x_target at time t;
-    the flow Jacobian Gamma supplies the exact Newton matrix.  Returns
-    (S, grad S, Hess S).  Raises CausticError if the connecting ray
-    crosses a caustic before its last step, and ShootingError if Newton
-    does not converge or a ray meets its caustic inside the last step:
-    t is then a focal time, where the landing map is singular.
+    The launch phase is quadratic and the ray flow linear, so S(t, .)
+    is the quadratic with Hessian Sigma(t) about any point it reaches.
+    The ray launched from x_target lands at x1 with action s1, momentum
+    p1 and Hessian Sigma; with r = x_target - x1,
+
+        S = s1 + p1.r + r.Sigma r/2,   grad S = p1 + Sigma r,   Hess S = Sigma.
+
+    Returns (S, grad S, Hess S).  Raises CausticError if the ray crosses
+    a caustic before its last step, and ShootingError if it meets one
+    inside the last step: t is then a focal time, where the landing map
+    is singular.
     """
+    if not isinstance(phase_in, QuadraticPhase):
+        raise TypeError(f"phase_in must be a QuadraticPhase, got {type(phase_in).__name__}")
     x_target = np.asarray(x_target, dtype=float)
-    scale = 1.0 + float(np.linalg.norm(x_target))
+    if t == 0.0:
+        return (float(phase_in.value(x_target)), phase_in.gradient(x_target),
+                phase_in.hessian(x_target))
+
     n_steps = time_grid(t, dt)[0]
 
-    def land(x0: np.ndarray) -> RayTrajectory:
+    def land(x0: np.ndarray) -> Ray:
         traj = integrate_ray(Ray.from_phase(x0, phase_in), dt, t, params,
                              store_stride=n_steps)
         if traj.caustic and len(traj.dense_times) == n_steps:
@@ -419,57 +430,9 @@ def eval_phase_general(t: float, x_target: Sequence[float], phase_in,
             raise CausticError(
                 f"ray from {x0.tolist()} hits a caustic at t = {traj.caustic_time:.6g} "
                 f"before reaching t = {t:.6g}")
-        return traj
+        return traj.final()
 
-    if t == 0.0:
-        x0 = x_target
-        return (float(phase_in.value(x0)), np.asarray(phase_in.gradient(x0), float),
-                np.asarray(phase_in.hessian(x0), float))
-
-    x0 = x_target.copy()
-    traj = land(x0)
-    res = traj.x[-1] - x_target
-    for _ in range(max_iter):
-        if np.linalg.norm(res) < tol * scale:
-            final = traj.final()
-            return float(final.action), final.p, final.sigma
-        try:
-            delta = np.linalg.solve(traj.gamma[-1], res)
-        except np.linalg.LinAlgError as exc:
-            raise CausticError(
-                f"singular flow Jacobian while targeting {x_target.tolist()}") from exc
-        step_scale = 1.0
-        for _ in range(30):
-            x0_try = x0 - step_scale * delta
-            if np.linalg.norm(x0_try) > escape_radius:
-                raise ShootingError(
-                    f"shooting iterate escaped while targeting {x_target.tolist()}")
-            traj_try = land(x0_try)
-            res_try = traj_try.x[-1] - x_target
-            if np.linalg.norm(res_try) < np.linalg.norm(res):
-                break
-            step_scale *= 0.5
-        else:
-            raise ShootingError(
-                f"no descent step found while targeting {x_target.tolist()}")
-        x0, traj, res = x0_try, traj_try, res_try
-    if np.linalg.norm(res) < tol * scale:
-        final = traj.final()
-        return float(final.action), final.p, final.sigma
-    raise ShootingError(
-        f"Newton shooting failed to converge on target {x_target.tolist()} "
-        f"(residual {np.linalg.norm(res):.3g} after {max_iter} iterations)")
-
-
-def subquadratic_monitor(hessian_at: Callable[[np.ndarray], np.ndarray],
-                         points: np.ndarray) -> float:
-    """Max spectral norm of the phase Hessian over sample points.
-
-    Bounded output certifies the phase stays subquadratic on the
-    sampled region, the standing assumption of the WKB route.
-    """
-    worst = 0.0
-    for x in np.asarray(points, dtype=float):
-        H = np.asarray(hessian_at(x), dtype=float)
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh(0.5 * (H + H.T))))))
-    return worst
+    ray = land(x_target)
+    r = x_target - ray.x
+    Sr = ray.sigma @ r
+    return float(ray.action + ray.p @ r + 0.5 * r @ Sr), ray.p + Sr, ray.sigma

@@ -87,6 +87,7 @@ def _two_route_distance(points: int, dt: float) -> float:
     return gauge_l2(psi.values, state.to_wavefield().values, grid)
 
 
+@pytest.mark.slow
 def test_A3_spectral_and_wkb_routes_agree_and_refine():
     fine = _two_route_distance(256, 1e-3)
     coarse = _two_route_distance(128, 2e-3)
@@ -96,6 +97,7 @@ def test_A3_spectral_and_wkb_routes_agree_and_refine():
                    f"tolerance 1e-3; coarse-grid distance {coarse:.3e}")
 
 
+@pytest.mark.slow
 def test_A4_limit_errors_shrink_at_first_order_in_eps(tmp_path):
     cfg = replace(RunConfig(),
                   grid=GridSpec.square(256, 8.0),
@@ -185,6 +187,7 @@ def _offcenter_rotating_records(eps: float, points: int):
     return sim, records
 
 
+@pytest.mark.slow
 def test_A8_isotropic_rotating_angular_momentum_scalings():
     # The moment dynamics of an off-centre cloud in an isotropic rotating
     # trap: X breathes at 2 omega whatever Omega is, (m, n, X) follow the

@@ -121,6 +121,10 @@ def test_single_point_count_broadcasts_to_dim():
     ("[run]\ninitial = vortex\nwinding = 0\n", "[run].winding"),
     ("[run]\nsolver = wkb\ninitial = vortex\n", "winding phase"),
     ("[run]\nsolver = rays\ninitial = vortex\n", "winding phase"),
+    ("[run]\nT = nan\n", "[run].T: must be finite"),
+    ("[run]\nstride = 1e400\n", "[run].stride: must be finite"),
+    ("[sim]\neps = inf\n", "[sim].eps: must be finite"),
+    ("[run]\nsigma0 = nan 0 0 0\n", "[run].sigma0: must be finite"),
 ])
 def test_rejects_bad_text(text, fragment):
     with pytest.raises(ConfigError) as err:

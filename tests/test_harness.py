@@ -333,7 +333,13 @@ def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert cli.main(["run-nls", str(path)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert cli.main(["run-nls", str(tmp_path / "missing.cfg")]) == 2
+    # overrides on a valid file, so the override is what fails
+    path.write_text("[sim]\neps = 0.25\n", encoding="utf-8")
+    capsys.readouterr()
     assert cli.main(["run-nls", str(path), "--run.T=0.0", "--bogus.key=1"]) == 2
+    assert "unknown section [bogus]" in capsys.readouterr().err
+    assert cli.main(["run-nls", str(path), "--run.stride=1e400"]) == 2
+    assert "[run].stride: must be finite" in capsys.readouterr().err
 
 
 def test_cli_maps_numerical_aborts_to_exit_3(tmp_path, capsys):

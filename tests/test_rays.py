@@ -1,11 +1,12 @@
-"""Ray tracing, quadratic phase transport, and Newton shooting.
+"""Ray tracing, quadratic phase transport, and the phase read at a point.
 
 Closed-form oracles: with no trap the flow is a rotating free streaming
 x(t) = R(Omega t)(x0 + t p0); the isotropic unit trap with flat initial
 phase gives Sigma(t) = -tan(t) I, Gamma(t) = cos(t) I, and action
-s(t) = -|x0|^2 sin(2t)/4 along each ray.  The Newton-shot phase is
-cross-checked against the transported quadratic phase and against the
-eikonal equation via a five-point time difference.
+s(t) = -|x0|^2 sin(2t)/4 along each ray.  The phase read off one ray
+at a point is checked against the closed form for isotropic data,
+against the transported quadratic phase and against the eikonal
+equation via a five-point time difference.
 """
 
 import numpy as np
@@ -22,8 +23,8 @@ from rotorwkb import (
     integrate_ray,
     integrate_rays,
     quadratic_phase_evolve,
-    subquadratic_monitor,
 )
+from rotorwkb import rays
 from rotorwkb.rays import flow_propagator
 
 
@@ -171,6 +172,38 @@ def test_riccati_blowup_flagged():
     assert abs(traj.times[-1] - traj.blowup_time) <= 2e-4  # within two steps
 
 
+@pytest.mark.parametrize("Omega", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("sigma", [0.3, -0.4])
+@pytest.mark.parametrize("t", [0.3, 0.6])
+def test_shot_phase_matches_isotropic_closed_form(Omega, sigma, t):
+    # unit trap, Sigma0 = sigma I, b = 0: the rotation terms cancel on a
+    # scalar Sigma, and Sigma' = -Sigma^2 - I gives Sigma(t) = tan(arctan
+    # sigma - t) I, so S(t, x) = c0 + tan(.) |x|^2 / 2 for any Omega
+    params = SimParams(eps=0.25, Omega=Omega, omega=(1.0, 1.0))
+    phase0 = QuadraticPhase(sigma * np.eye(2), np.zeros(2), 0.1)
+    x = np.array([3.0, -4.0])
+    tan = np.tan(np.arctan(sigma) - t)
+    val, grad, hess = eval_phase_general(t, x, phase0, params)
+    assert val == pytest.approx(0.1 + 0.5 * tan * float(x @ x), abs=1e-10)
+    np.testing.assert_allclose(grad, tan * x, atol=1e-10)
+    np.testing.assert_allclose(hess, tan * np.eye(2), atol=1e-10)
+
+
+def test_shot_phase_lands_one_ray(monkeypatch):
+    landings = []
+
+    def counted(*args, **kwargs):
+        landings.append(args)
+        return integrate_ray(*args, **kwargs)
+
+    monkeypatch.setattr(rays, "integrate_ray", counted)
+    params = SimParams(eps=0.25, Omega=1.0, omega=(1.3, 0.7))
+    phase0 = QuadraticPhase(np.array([[0.2, 0.1], [0.1, -0.1]]),
+                            np.array([0.1, -0.05]), 0.2)
+    eval_phase_general(0.5, (0.7, -0.4), phase0, params)
+    assert len(landings) == 1
+
+
 def test_shot_phase_matches_transported_quadratic_phase():
     params = SimParams(eps=0.25, Omega=1.0, omega=(1.3, 0.7))
     phase0 = QuadraticPhase(np.array([[0.2, 0.1], [0.1, -0.1]]),
@@ -181,6 +214,17 @@ def test_shot_phase_matches_transported_quadratic_phase():
     assert val == pytest.approx(float(ref.value(x)), abs=1e-8)
     np.testing.assert_allclose(grad, ref.gradient(x), atol=1e-8)
     np.testing.assert_allclose(hess, ref.Sigma, atol=1e-7)
+
+
+def test_shot_phase_needs_a_quadratic_launch_phase():
+    # the reading about the landing point is exact only for a quadratic
+    class Quartic:
+        def value(self, x):
+            return 0.25 * float(np.asarray(x) @ np.asarray(x)) ** 2
+
+    params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
+    with pytest.raises(TypeError, match="QuadraticPhase"):
+        eval_phase_general(0.5, (0.7, -0.4), Quartic(), params)
 
 
 def test_shot_phase_at_time_zero_returns_input_data():
@@ -226,18 +270,3 @@ def test_shot_past_a_focus_raises_caustic_error():
     params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
     with pytest.raises(CausticError):
         eval_phase_general(2.0, (0.5, 0.0), QuadraticPhase.zero(2), params)
-
-
-def test_subquadratic_monitor():
-    sigma = np.array([[0.5, 0.2], [0.2, -0.3]])
-    pts = np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 1.0]])
-    flat = subquadratic_monitor(lambda x: sigma, pts)
-    assert flat == pytest.approx(np.max(np.abs(np.linalg.eigvalsh(sigma))))
-
-    def quartic_hessian(x):
-        # S = |x|^4 / 4: Hessian = |x|^2 I + 2 x x^T, growing with radius
-        return float(x @ x) * np.eye(2) + 2.0 * np.outer(x, x)
-
-    near = subquadratic_monitor(quartic_hessian, pts)
-    far = subquadratic_monitor(quartic_hessian, 3.0 * pts)
-    assert far > near
