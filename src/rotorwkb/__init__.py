@@ -33,6 +33,6 @@ from .rays import (CausticError, QuadraticPhase, QuadraticPhaseTrajectory, Ray,
 from .runner import (RunResult, SweepError, SweepResult, build_hydro_state,
                      build_ray_bundle, build_wavefield, build_wkb_state,
                      compare_fields, epsilon_sweep, run)
-from .snapshots import Snapshot, load_field, save_field, save_wavefield
+from .snapshots import Snapshot, load_field, save_field
 
 __version__ = "0.1.0"

@@ -326,17 +326,13 @@ def load_config(path: str) -> RunConfig:
     return parse_config(text)
 
 
-def apply_overrides(cfg_text_or_cfg, overrides: dict[str, str]) -> RunConfig:
+def apply_overrides(cfg: RunConfig, overrides: dict[str, str]) -> RunConfig:
     """Apply --section.key=value pairs on top of a parsed config.
 
-    Overrides are merged at the text level so every validation path is
-    shared with parse_config.
+    Overrides are merged into the config's canonical text, so every
+    validation path is shared with parse_config.
     """
-    if isinstance(cfg_text_or_cfg, RunConfig):
-        text = serialize(cfg_text_or_cfg)
-    else:
-        text = cfg_text_or_cfg
-    sections = _split_sections(text)
+    sections = _split_sections(serialize(cfg))
     for dotted, value in overrides.items():
         if "." not in dotted:
             raise ConfigError(f"override {dotted!r} is not section.key")
@@ -345,14 +341,9 @@ def apply_overrides(cfg_text_or_cfg, overrides: dict[str, str]) -> RunConfig:
             raise ConfigError(f"override {dotted!r}: unknown section [{section}]")
         if key not in _KEYS[section]:
             _fail(section, key, "unknown key")
-        sections.setdefault(section, {})[key] = value
+        sections[section][key] = value
     parts = []
     for section in _SECTIONS:
-        if section not in sections:
-            continue
         parts.append(f"[{section}]")
-        for key in _KEYS[section]:
-            if key in sections[section]:
-                parts.append(f"{key} = {sections[section][key]}")
-        parts.append("")
+        parts += [f"{key} = {sections[section][key]}" for key in _KEYS[section]]
     return parse_config("\n".join(parts))

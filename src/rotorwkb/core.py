@@ -184,8 +184,8 @@ class GridSpec:
             if n < 8 or (n & (n - 1)) != 0:
                 raise ValueError(f"points must be powers of two >= 8, got {n}")
         for L in self.half_extent:
-            if not L > 0:
-                raise ValueError(f"half_extent must be positive, got {L}")
+            if not 0 < L < math.inf:
+                raise ValueError(f"half_extent must be positive and finite, got {L}")
 
     def __reduce__(self):
         # the cached coordinate arrays are rebuilt on demand, not shipped
@@ -324,27 +324,17 @@ class WaveField:
         return np.abs(self.values) ** 2
 
 
-def wkb_assemble(amplitude: np.ndarray, phase: np.ndarray, eps: float,
-                 grid: GridSpec, params: SimParams | None = None,
-                 t: float = 0.0) -> WaveField:
-    """Build psi = amplitude * exp(i * phase / eps) as a WaveField.
-
-    amplitude may be complex; phase must be real.  When params is given
-    its eps must agree with the eps argument.
-    """
+def wkb_assemble(amplitude: np.ndarray, phase: np.ndarray, grid: GridSpec,
+                 params: SimParams, t: float = 0.0) -> WaveField:
+    """Build psi = amplitude * exp(i * phase / eps) as a WaveField, eps
+    from params.  amplitude may be complex; phase must be real."""
     amplitude = np.asarray(amplitude)
     phase = np.asarray(phase)
     if amplitude.shape != grid.shape or phase.shape != grid.shape:
         raise ValueError("amplitude/phase shape does not match grid")
     if np.iscomplexobj(phase):
         raise ValueError("phase must be real valued")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if params is None:
-        params = SimParams(eps=eps, Omega=0.0, omega=(0.0,) * grid.dim)
-    elif abs(params.eps - eps) > 1e-15 * max(1.0, abs(eps)):
-        raise ValueError(f"eps argument {eps} disagrees with params.eps {params.eps}")
-    return WaveField(amplitude * np.exp(1j * phase / eps), t, grid, params)
+    return WaveField(amplitude * np.exp(1j * phase / params.eps), t, grid, params)
 
 
 def make_gaussian(grid: GridSpec, center: Sequence[float] | None = None,

@@ -74,7 +74,8 @@ class WKBState:
     """Amplitude split, slow velocity, accumulated slow phase, and drift.
 
     v has shape (dim, *grid.shape).  drift holds the quadratic ray
-    phase coefficients at time t.  Arrays are copied in and read-only.
+    phase coefficients at time t.  eps is params.eps, or 0 for the limit
+    system of the same run.  Arrays are copied in and read-only.
     """
 
     alpha: np.ndarray
@@ -98,8 +99,9 @@ class WKBState:
         if v.shape != (self.grid.dim,) + g:
             raise ValueError(f"v shape {v.shape}, expected {(self.grid.dim,) + g}")
         object.__setattr__(self, "v", _freeze(v))
-        if self.eps < 0:
-            raise ValueError(f"eps must be nonnegative, got {self.eps}")
+        if self.eps not in (0.0, self.params.eps):
+            raise ValueError(f"eps must be 0 or params.eps = {self.params.eps}, "
+                             f"got {self.eps}")
         if self.drift.dim != self.grid.dim:
             raise ValueError("drift dimension does not match grid")
 
@@ -112,7 +114,8 @@ class WKBState:
     def from_amplitude(amplitude: np.ndarray, grid: GridSpec, params: SimParams,
                        drift: QuadraticPhase | None = None,
                        eps: float | None = None) -> "WKBState":
-        """Start state: a_in split into (alpha, beta), v = 0, phi = 0."""
+        """Start state: a_in split into (alpha, beta), v = 0, phi = 0, at
+        params.eps, or at eps = 0 (the limit system) when that is given."""
         amplitude = np.asarray(amplitude)
         if drift is None:
             drift = QuadraticPhase.zero(grid.dim)
@@ -247,13 +250,11 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
     return dalpha, dbeta, dv, dphi
 
 
-def rhs_wkb(state: WKBState, eps: float | None = None):
-    """Time derivative of (alpha, beta, v, phi) at the state's drift."""
-    if eps is None:
-        eps = state.eps
+def rhs_wkb(state: WKBState):
+    """Time derivative of (alpha, beta, v, phi) at the state's drift and eps."""
     w, _, coupling = drift_fields(state.drift, state.grid, state.params)
     return _fields_rhs(state.alpha, state.beta, np.array(state.v), w, coupling,
-                       state.grid, state.params, eps, with_phi=True)
+                       state.grid, state.params, state.eps, with_phi=True)
 
 
 # ---------- hyperbolic structure ----------
@@ -326,8 +327,9 @@ def _sponge_profile(grid: GridSpec, strength: float) -> np.ndarray:
     return strength * sigma
 
 
-def cfl_limits(state: WKBState, eps: float) -> tuple[float, float]:
-    """Advective and dispersive step bounds 0.5 dx/max|v+w|, 0.2 dx^2/eps."""
+def cfl_limits(state: WKBState) -> tuple[float, float]:
+    """Advective and dispersive step bounds 0.5 dx/max|v+w|, 0.2 dx^2/eps,
+    with eps the state's (no dispersive bound at eps = 0)."""
     w, _, _ = drift_fields(state.drift, state.grid, state.params)
     speed2 = np.zeros(state.grid.shape)
     for j in range(state.grid.dim):
@@ -335,21 +337,24 @@ def cfl_limits(state: WKBState, eps: float) -> tuple[float, float]:
     vmax = float(np.sqrt(speed2.max()))
     dx = min(state.grid.spacing)
     adv = 0.5 * dx / vmax if vmax > 0 else np.inf
-    disp = 0.2 * dx * dx / eps if eps > 0 else np.inf
+    disp = 0.2 * dx * dx / state.eps if state.eps > 0 else np.inf
     return adv, disp
 
 
-def _march(alpha, beta, v, phi, drift, grid, params, eps, T, dt,
-           observer, observer_stride, sponge_strength, extra_force,
-           with_phi, with_drift, make_state):
+def _march(state0: WKBState, T, dt, observer, observer_stride, sponge_strength,
+           extra_force, with_phi, with_drift, make_state):
     """Shared RK4 loop for the WKB and limit-hydro systems.
 
-    The RK4 state is (alpha, beta, v, phi); the drift is sampled from its
-    exact path on the half-step grid (with_drift) or stays at `drift`.
-    Stages 2 and 3 share the midpoint drift fields.  The endpoint fields
-    are built again at the next step's stage 1: keeping them across the
-    step raised the peak memory of a 256^2 march by about 1 MB.
+    The RK4 state is (alpha, beta, v, phi), started from state0 and
+    marched at its eps; the drift is sampled from its exact path on the
+    half-step grid (with_drift) or stays at state0's.  Stages 2 and 3
+    share the midpoint drift fields.  The endpoint fields are built
+    again at the next step's stage 1: keeping them across the step
+    raised the peak memory of a 256^2 march by about 1 MB.
     """
+    grid, params, eps, drift = state0.grid, state0.params, state0.eps, state0.drift
+    alpha, beta, v, phi = (np.array(a) for a in
+                           (state0.alpha, state0.beta, state0.v, state0.phi))
     n_steps, h = time_grid(T, dt)
 
     if with_drift and T > 0:
@@ -416,8 +421,8 @@ def _march(alpha, beta, v, phi, drift, grid, params, eps, T, dt,
     return alpha, beta, v, phi, drift_at(2 * n_steps), t
 
 
-def _resolve_dt(state0, eps, T, dt, context: str):
-    adv, disp = cfl_limits(state0, eps)
+def _resolve_dt(state0, T, dt, context: str):
+    adv, disp = cfl_limits(state0)
     if dt is None:
         # half the advective bound leaves headroom for drift growth mid-run
         dt = min(0.5 * adv, 0.9 * disp, 0.01)
@@ -431,35 +436,28 @@ def _resolve_dt(state0, eps, T, dt, context: str):
     return dt
 
 
-def evolve_wkb(state0: WKBState, eps: float | None = None, T: float = 0.0,
-               dt: float | None = None,
+def evolve_wkb(state0: WKBState, T: float = 0.0, dt: float | None = None,
                observer: Callable[[float, WKBState], None] | None = None,
                observer_stride: int = 1,
                sponge_strength: float = 20.0) -> WKBState:
     """March (alpha, beta, v, phi) to time T under the exact drift.
 
-    eps = 0 runs the formal limit system (no dispersive correction).
-    When dt is omitted a step obeying the advective and dispersive
-    bounds is chosen; a supplied dt violating them is rejected.  Raises
-    NumericalAbort, before any step, if the drift phase reaches a
-    caustic before T.
+    The march runs at the state's eps: a state built with eps = 0 runs
+    the limit system (no dispersive correction).  When dt is omitted a
+    step obeying the advective and dispersive bounds is chosen; a
+    supplied dt violating them is rejected.  Raises NumericalAbort,
+    before any step, if the drift phase reaches a caustic before T.
     """
-    if eps is None:
-        eps = state0.eps
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
     if T < 0:
         raise ValueError(f"duration T must be nonnegative, got {T}")
-    dt = _resolve_dt(state0, eps, T, dt, "evolve_wkb")
+    dt = _resolve_dt(state0, T, dt, "evolve_wkb")
 
     def make_state(al, be, vv, ph, dr, t):
-        return WKBState(al, be, vv, ph, dr, eps, state0.t + t,
+        return WKBState(al, be, vv, ph, dr, state0.eps, state0.t + t,
                         state0.grid, state0.params)
 
     alpha, beta, v, phi, drift, t = _march(
-        np.array(state0.alpha), np.array(state0.beta), np.array(state0.v),
-        np.array(state0.phi), state0.drift, state0.grid, state0.params, eps,
-        T, dt, observer, observer_stride, sponge_strength,
+        state0, T, dt, observer, observer_stride, sponge_strength,
         extra_force=None, with_phi=True, with_drift=True, make_state=make_state)
     return make_state(alpha, beta, v, phi, drift, t)
 
@@ -483,22 +481,19 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     if T < 0:
         raise ValueError(f"duration T must be nonnegative, got {T}")
     grid, params = h0.grid, h0.params
-    alpha0 = np.sqrt(h0.rho)
-    beta0 = np.zeros(grid.shape)
     pts = np.stack(grid.meshes, axis=-1)
     force = np.moveaxis(potential_gradient(pts, params.omega), -1, 0)
 
-    shadow = WKBState(alpha0, beta0, np.array(h0.v), np.zeros(grid.shape),
-                      QuadraticPhase.zero(grid.dim), 0.0, h0.t, grid, params)
-    dt = _resolve_dt(shadow, 0.0, T, dt, "evolve_hydro")
+    shadow = WKBState(np.sqrt(h0.rho), np.zeros(grid.shape), h0.v,
+                      np.zeros(grid.shape), QuadraticPhase.zero(grid.dim), 0.0,
+                      h0.t, grid, params)
+    dt = _resolve_dt(shadow, T, dt, "evolve_hydro")
 
     def make_state(al, be, vv, ph, dr, t):
         return HydroState(al * al + be * be, vv, h0.t + t, grid, params)
 
     alpha, beta, v, _, _, t = _march(
-        alpha0, beta0, np.array(h0.v), np.zeros(grid.shape),
-        QuadraticPhase.zero(grid.dim), grid, params, 0.0,
-        T, dt, observer, observer_stride, sponge_strength,
+        shadow, T, dt, observer, observer_stride, sponge_strength,
         extra_force=force, with_phi=False, with_drift=False,
         make_state=make_state)
     return make_state(alpha, beta, v, None, None, t)
@@ -525,14 +520,12 @@ def accumulate_phi(states: list[WKBState]) -> np.ndarray:
     return phi
 
 
-def gradient_consistency(state: WKBState, phi: np.ndarray | None = None) -> float:
-    """Max gap between the centered gradient of phi and the carried v."""
-    if phi is None:
-        phi = state.phi
+def gradient_consistency(state: WKBState) -> float:
+    """Max gap between the centered gradient of the carried phi and v."""
     worst = 0.0
     for j in range(state.grid.dim):
         worst = max(worst, float(np.max(np.abs(
-            d1(phi, j, state.grid.spacing[j]) - state.v[j]))))
+            d1(state.phi, j, state.grid.spacing[j]) - state.v[j]))))
     return worst
 
 
@@ -542,24 +535,27 @@ class MadelungFields(NamedTuple):
     current: np.ndarray
 
 
-def madelung_extract(psi: WaveField, floor: float = 1e-12) -> MadelungFields:
+VACUUM_FLOOR = 1e-12   # density floor of the Madelung velocity, relative to max
+LOOP_SAMPLES = 1440    # trapezoid nodes on a circulation loop
+
+
+def madelung_extract(psi: WaveField) -> MadelungFields:
     """Density, velocity, and raw current of a wavefunction.
 
     current = eps Im(conj(psi) grad psi) via spectral derivatives;
-    v = current / rho with the density floored at `floor` times its max
-    so vacuum regions stay finite.  Near-vacuum velocity is noise by
+    v = current / rho with the density floored at VACUUM_FLOOR times its
+    max so vacuum regions stay finite.  Near-vacuum velocity is noise by
     construction; compare currents there instead.
     """
     rho = psi.density()
     grad = spectral_gradient(psi.values, psi.grid)
     current = current_from_gradient(psi.values, grad, psi.params.eps)
-    v = current / np.maximum(rho, floor * rho.max())[None]
+    v = current / np.maximum(rho, VACUUM_FLOOR * rho.max())[None]
     return MadelungFields(rho=rho, v=v, current=current)
 
 
 def _bilinear(field: np.ndarray, grid: GridSpec, x1, x2) -> np.ndarray:
     """Periodic bilinear sample of a 2d grid field at points (x1, x2)."""
-    out_parts = []
     idx = []
     for axis, coord in ((0, x1), (1, x2)):
         L = grid.half_extent[axis]
@@ -574,19 +570,20 @@ def _bilinear(field: np.ndarray, grid: GridSpec, x1, x2) -> np.ndarray:
 
 
 def circulation(v: np.ndarray, grid: GridSpec, center=(0.0, 0.0),
-                radius: float = 1.0, samples: int = 1440) -> float:
+                radius: float = 1.0) -> float:
     """Line integral of a 2d velocity field around a circle.
 
-    Bilinear-samples v on the loop and applies the trapezoid rule; for
-    a quantized vortex of winding m the result is 2 pi eps m.
+    Bilinear-samples v at LOOP_SAMPLES points of the loop and applies
+    the trapezoid rule; for a quantized vortex of winding m the result
+    is 2 pi eps m.
     """
     if grid.dim != 2 or v.shape[0] != 2:
         raise ValueError("circulation is defined for 2d velocity fields")
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, LOOP_SAMPLES, endpoint=False)
     cx, cy = center
     x1 = cx + radius * np.cos(theta)
     x2 = cy + radius * np.sin(theta)
     v1 = _bilinear(v[0], grid, x1, x2)
     v2 = _bilinear(v[1], grid, x1, x2)
     tangential = -v1 * np.sin(theta) + v2 * np.cos(theta)
-    return float(radius * np.sum(tangential) * (2.0 * np.pi / samples))
+    return float(radius * np.sum(tangential) * (2.0 * np.pi / LOOP_SAMPLES))

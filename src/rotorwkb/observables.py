@@ -313,15 +313,11 @@ def isotropic_closed_form(t, p: MomentODEParams):
     return np.full_like(t, p.m0), n, X
 
 
-def am_relation_residual(records: Sequence[ObservableRecord],
-                         m_limit0: float | None = None) -> np.ndarray:
-    """Residual m_eps(t) - m(0) of isotropic angular momentum conservation.
-
-    Uses m_eps(0) for the limit m(0) unless given.
-    """
-    if m_limit0 is None:
-        m_limit0 = records[0].m_eps
-    return np.array([r.m_eps - m_limit0 for r in records])
+def am_relation_residual(records: Sequence[ObservableRecord]) -> np.ndarray:
+    """Residual m_eps(t) - m_eps(0) of isotropic angular momentum
+    conservation, m_eps(0) from the first record."""
+    m0 = records[0].m_eps
+    return np.array([r.m_eps - m0 for r in records])
 
 
 # ---------- frequency measurement ----------

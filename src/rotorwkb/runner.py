@@ -13,6 +13,7 @@ the manifest and the sweep summary.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -98,11 +99,12 @@ def phase_field(cfg: RunConfig) -> np.ndarray:
 
 
 def build_wavefield(cfg: RunConfig) -> WaveField:
-    return wkb_assemble(amplitude_field(cfg), phase_field(cfg),
-                        cfg.sim.eps, cfg.grid, cfg.sim)
+    return wkb_assemble(amplitude_field(cfg), phase_field(cfg), cfg.grid, cfg.sim)
 
 
 def build_wkb_state(cfg: RunConfig, eps: float | None = None) -> WKBState:
+    """The configured WKB start state at cfg.sim.eps, or at eps = 0 (the
+    limit system) when eps = 0.0 is given."""
     return WKBState.from_amplitude(amplitude_field(cfg), cfg.grid, cfg.sim,
                                    drift=quadratic_phase(cfg), eps=eps)
 
@@ -159,10 +161,10 @@ def _ray_csv(trajectories: list[RayTrajectory], dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_cfl(cfg: RunConfig, state: WKBState, eps: float):
+def _check_cfl(cfg: RunConfig, state: WKBState):
     if cfg.dt is None:
         return
-    adv, disp = cfl_limits(state, eps)
+    adv, disp = cfl_limits(state)
     if cfg.dt > adv or cfg.dt > disp:
         raise ConfigError(f"[run].dt: {cfg.dt} violates the step bounds "
                           f"(advective {adv:.3e}, dispersive {disp:.3e})")
@@ -200,7 +202,7 @@ def run(cfg: RunConfig) -> RunResult:
         final_values = final.values
     elif cfg.solver == "wkb":
         state0 = build_wkb_state(cfg)
-        _check_cfl(cfg, state0, state0.eps)
+        _check_cfl(cfg, state0)
         _save_initial(outdir, state0.amplitude(), cfg.grid, state0.eps,
                       "wkb-amplitude", artifacts)
         final = evolve_wkb(state0, T=cfg.T, dt=cfg.dt,
@@ -213,7 +215,7 @@ def run(cfg: RunConfig) -> RunResult:
     elif cfg.solver == "hydro":
         h0 = build_hydro_state(cfg)
         shadow = WKBState.from_amplitude(np.sqrt(h0.rho), cfg.grid, cfg.sim, eps=0.0)
-        _check_cfl(cfg, replace(shadow, v=h0.v.copy()), 0.0)
+        _check_cfl(cfg, replace(shadow, v=h0.v.copy()))
         _save_initial(outdir, h0.rho.astype(complex), cfg.grid, 0.0,
                       "hydro-density", artifacts)
         final = evolve_hydro(h0, T=cfg.T, dt=cfg.dt,
@@ -321,7 +323,7 @@ def _worker_count(n_jobs: int) -> int:
 def _reference_task(cfg: RunConfig) -> tuple[WKBState, float]:
     """The eps = 0 WKB march of the sweep's data: (final state, wall time)."""
     t0 = time.perf_counter()
-    ref = evolve_wkb(build_wkb_state(cfg, eps=0.0), eps=0.0, T=cfg.T, dt=cfg.dt,
+    ref = evolve_wkb(build_wkb_state(cfg, eps=0.0), T=cfg.T, dt=cfg.dt,
                      sponge_strength=cfg.sponge)
     return ref, time.perf_counter() - t0
 
@@ -352,8 +354,11 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3:
         raise ConfigError(f"sweep needs >= 3 eps values, got {len(eps_list)}")
-    if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])) or eps_list[-1] <= 0:
-        raise ConfigError("sweep eps values must be strictly decreasing and positive")
+    if (not all(math.isfinite(e) for e in eps_list)
+            or any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:]))
+            or eps_list[-1] <= 0):
+        raise ConfigError(f"sweep eps values must be finite, strictly decreasing "
+                          f"and positive, got {list(eps_list)}")
     if mode not in ("nls", "wkb", "both"):
         raise ConfigError(f"sweep mode must be nls, wkb, or both, got {mode!r}")
 

@@ -11,12 +11,13 @@ buffer, so a write/read cycle is bit identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import GridSpec, WaveField
+from .core import GridSpec
 
 MAGIC = b"RSFW1\n"
 
@@ -30,13 +31,18 @@ class Snapshot:
     tag: str | None = None
 
 
+def _check_eps_and_time(eps: float, t: float) -> None:
+    if not (0 <= eps < math.inf and math.isfinite(t)):
+        raise ValueError(f"RSFW1 header needs a finite eps >= 0 and a finite "
+                         f"time, got eps = {eps}, t = {t}")
+
+
 def save_field(path: str | Path, values: np.ndarray, grid: GridSpec,
                eps: float, t: float, tag: str | None = None) -> None:
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check_eps_and_time(eps, t)
     tokens = [str(grid.dim)]
     tokens += [str(n) for n in grid.points]
     tokens += [repr(float(L)) for L in grid.half_extent]
@@ -53,18 +59,15 @@ def save_field(path: str | Path, values: np.ndarray, grid: GridSpec,
         fh.write(data.tobytes())
 
 
-def save_wavefield(path: str | Path, psi: WaveField) -> None:
-    save_field(path, psi.values, psi.grid, psi.params.eps, psi.t)
-
-
 def load_field(path: str | Path) -> Snapshot:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not an RSFW1 snapshot (bad magic {magic!r})")
-        header = fh.readline().decode("ascii").split()
+        header = fh.readline()
         payload = fh.read()
     try:
+        header = header.decode("ascii").split()
         dim = int(header[0])
         points = tuple(int(tok) for tok in header[1:1 + dim])
         half_extent = tuple(float(tok) for tok in header[1 + dim:1 + 2 * dim])
@@ -76,7 +79,11 @@ def load_field(path: str | Path) -> Snapshot:
     if len(rest) > 1:
         raise ValueError(f"{path}: malformed RSFW1 header {header!r}")
     tag = rest[0] if rest else None
-    grid = GridSpec(half_extent, points)
+    try:
+        _check_eps_and_time(eps, t)
+        grid = GridSpec(half_extent, points)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     count = int(np.prod(points))
     if len(payload) != 16 * count:
         raise ValueError(

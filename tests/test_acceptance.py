@@ -126,7 +126,7 @@ def test_A5_hydro_route_matches_the_wkb_limit_route(tmp_path):
                   outdir=str(tmp_path))
     hydro = evolve_hydro(build_hydro_state(cfg), T=0.5, dt=2e-3,
                          sponge_strength=cfg.sponge)
-    wkb = evolve_wkb(build_wkb_state(cfg, eps=0.0), eps=0.0, T=0.5, dt=2e-3,
+    wkb = evolve_wkb(build_wkb_state(cfg, eps=0.0), T=0.5, dt=2e-3,
                      sponge_strength=cfg.sponge)
     gap = float(np.max(np.abs(hydro.rho - wkb.density())))
     assert verdict("A5", gap < 1e-8,

@@ -159,12 +159,6 @@ def test_overrides_merge_and_validate():
         apply_overrides(cfg, {"sim.eps": "-1"})
 
 
-def test_overrides_on_raw_text():
-    out = apply_overrides("[sim]\neps = 0.25\n", {"sim.Omega": "0.9"})
-    assert out.sim.Omega == 0.9
-    assert out.sim.eps == 0.25
-
-
 def test_load_config(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("[sim]\neps = 0.0625\n", encoding="utf-8")

@@ -251,7 +251,7 @@ def test_wkb_assemble_modulus_and_phase():
     X1, X2 = grid.meshes
     phase = 0.3 * X1 - 0.1 * X2**2
     eps = 0.25
-    psi = wkb_assemble(a, phase, eps, grid)
+    psi = wkb_assemble(a, phase, grid, SimParams(eps=eps))
     np.testing.assert_allclose(np.abs(psi.values), a, atol=1e-14)
     np.testing.assert_allclose(psi.values * np.exp(-1j * phase / eps), a,
                                atol=1e-14)

@@ -17,7 +17,7 @@ from rotorwkb.core import GridSpec, Nonlinearity, NumericalAbort, SimParams
 from rotorwkb.runner import (SweepError, _worker_count, build_ray_bundle,
                              build_wavefield, build_wkb_state, compare_fields,
                              epsilon_sweep, run)
-from rotorwkb.snapshots import save_field
+from rotorwkb.snapshots import MAGIC, save_field
 
 
 def small_cfg(outdir, **kw):
@@ -96,6 +96,33 @@ def test_ray_run_writes_a_trajectory_table(tmp_path):
     # field observables do not apply to rays; the table is header-only
     assert (tmp_path / "o" / "observables.csv").read_text() == \
         "t,mass,energy,m_eps,n,X,xy\n"
+
+
+def test_every_solver_runs_a_3d_config_through_the_cli(tmp_path):
+    # one 16^3 config through all four run subcommands; the hydro route
+    # takes the zero phase, as an affine velocity jumps at its periodic seam
+    path = tmp_path / "run3d.cfg"
+    path.write_text("[sim]\neps = 0.25\nOmega = 0.5\nomega = 1 1 1\n"
+                    "[grid]\npoints = 16\nhalf_extent = 6\n"
+                    "[run]\nT = 0.05\ndt = 0.005\nstride = 2\n"
+                    "phase = quadratic\nsigma0 = 0.1 0 0 0 0.1 0 0 0 0.1\n"
+                    "b0 = 0.1 -0.05 0\n", encoding="utf-8")
+    for command, extra in (("run-nls", []), ("run-wkb", []),
+                           ("run-hydro", ["--run.phase=zero"]), ("run-rays", [])):
+        out = tmp_path / command
+        assert cli.main([command, str(path), f"--run.outdir={out}"] + extra) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name, digest in manifest["artifacts"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+        if command == "run-rays":
+            with open(out / "rays.csv", newline="") as fh:
+                rays = {row["ray"] for row in csv.DictReader(fh)}
+            assert len(rays) == 5 ** 3
+            continue
+        with open(out / "observables.csv", newline="") as fh:
+            mass = np.array([float(row["mass"]) for row in csv.DictReader(fh)])
+        assert len(mass) == 6  # t = 0 and every second of 10 steps
+        assert np.max(np.abs(mass - mass[0])) < 1e-10 * mass[0]
 
 
 def test_ray_bundle_is_a_regular_lattice():
@@ -187,10 +214,13 @@ def test_sweep_validates_the_eps_list(tmp_path):
     with pytest.raises(ConfigError) as err:
         epsilon_sweep(cfg, (0.5, 0.25))
     assert "needs >= 3" in str(err.value)
-    for bad in [(0.1, 0.2, 0.3), (0.5, 0.25, 0.25), (0.5, 0.25, -0.1)]:
+    for bad in [(0.1, 0.2, 0.3), (0.5, 0.25, 0.25), (0.5, 0.25, -0.1),
+                (0.5, 0.25, float("nan")), (float("inf"), 0.5, 0.25)]:
         with pytest.raises(ConfigError) as err:
             epsilon_sweep(cfg, bad)
         assert "strictly decreasing" in str(err.value)
+        # rejected before anything starts: no output directory
+        assert not (tmp_path / "s").exists()
     with pytest.raises(ConfigError) as err:
         epsilon_sweep(cfg, (0.5, 0.25, 0.125), mode="fast")
     assert "sweep mode" in str(err.value)
@@ -420,6 +450,11 @@ def test_cli_observables_rejects_limit_snapshots(tmp_path, capsys):
     rc = cli.main(["observables", path, str(tmp_path / "o" / "initial.rsfw")])
     assert rc == 2
     assert "eps" in capsys.readouterr().err
+    # a header with eps = nan is malformed, and the message names the file
+    bad = tmp_path / "nan.rsfw"
+    bad.write_bytes(MAGIC + b"2 64 64 4.0 4.0 nan 0.0\n" + bytes(16 * 64 * 64))
+    assert cli.main(["observables", path, str(bad)]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_subcommands(tmp_path, capsys):

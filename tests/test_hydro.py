@@ -9,6 +9,8 @@ system is the free Schroedinger equation for the stencil Laplacian,
 solvable exactly in Fourier space.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ def test_constant_drift_translates_amplitude():
                                     drift=QuadraticPhase(np.zeros((2, 2)), b),
                                     eps=0.0)
     T = 0.25
-    out = evolve_wkb(state, eps=0.0, T=T, dt=0.02)
+    out = evolve_wkb(state, T=T, dt=0.02)
     expect = make_gaussian(grid, center=tuple(b * T))
     # the shifted target renormalizes over the same box; undo nothing,
     # both fields carry unit mass
@@ -136,7 +138,7 @@ def test_isotropic_expansion_closed_form():
         a0, grid, params, drift=QuadraticPhase(s * np.eye(2), np.zeros(2)),
         eps=0.0)
     T = 0.3
-    out = evolve_wkb(state, eps=0.0, T=T, dt=0.01)
+    out = evolve_wkb(state, T=T, dt=0.01)
     lam = 1.0 + s * T
     np.testing.assert_allclose(out.drift.Sigma, (s / lam) * np.eye(2),
                                atol=1e-10)
@@ -176,7 +178,7 @@ def test_hydro_route_matches_wkb_route_at_zero_phase():
     a0 = make_gaussian(grid)
     dt = 2e-3
     wkb = evolve_wkb(WKBState.from_amplitude(a0, grid, params, eps=0.0),
-                     eps=0.0, T=0.5, dt=dt)
+                     T=0.5, dt=dt)
     hyd = evolve_hydro(HydroState(a0**2, np.zeros((2,) + grid.shape), 0.0,
                                   grid, params), T=0.5, dt=dt)
     assert np.max(np.abs(wkb.density() - hyd.rho)) < 1e-12
@@ -274,11 +276,11 @@ def test_cfl_limits_values():
     drift = QuadraticPhase(np.zeros((2, 2)), np.array([3.0, 4.0]))
     state = WKBState.from_amplitude(make_gaussian(grid), grid, params,
                                     drift=drift)
-    adv, disp = cfl_limits(state, eps=0.5)
+    adv, disp = cfl_limits(state)
     dx = 0.25
     assert adv == pytest.approx(0.5 * dx / 5.0, rel=1e-12)  # |w| = 5
     assert disp == pytest.approx(0.2 * dx * dx / 0.5, rel=1e-12)
-    assert cfl_limits(state, eps=0.0)[1] == np.inf
+    assert cfl_limits(replace(state, eps=0.0))[1] == np.inf
 
 
 # ---------- state geometry ----------
@@ -306,6 +308,23 @@ def test_state_fields_and_assembly():
     np.testing.assert_allclose(psi.values, a0 * np.exp(1j * S / 0.25),
                                atol=1e-13)
     np.testing.assert_allclose(state.density(), a0 * a0, atol=1e-15)
+
+
+def test_state_eps_is_the_run_eps_or_zero():
+    # the amplitude system is a family in eps whose eps = 0 member is the
+    # limit system: a state carries its run's eps or 0, and nothing else,
+    # so the wavefield it assembles is labelled with the eps it used
+    grid = GridSpec.square(16, 4.0)
+    params = SimParams(eps=0.25)
+    a0 = make_gaussian(grid)
+    assert WKBState.from_amplitude(a0, grid, params).eps == 0.25
+    limit = WKBState.from_amplitude(a0, grid, params, eps=0.0)
+    assert limit.eps == 0.0
+    for bad in (0.125, -0.25, np.nan):
+        with pytest.raises(ValueError, match=r"eps must be 0 or params.eps = 0.25"):
+            WKBState.from_amplitude(a0, grid, params, eps=bad)
+    with pytest.raises(ValueError, match="params.eps"):
+        replace(limit, eps=0.5)
 
 
 def test_gradient_consistency_measures_the_gap():

@@ -203,7 +203,7 @@ def test_mass_conserved_along_full_model_run():
     params = SimParams(eps=0.125, Omega=1.0, omega=(1.0, 1.0))
     a = make_gaussian(grid, center=(1.0, 0.5))
     X1, X2 = grid.meshes
-    psi0 = wkb_assemble(a, 0.1 * X1 * X2, 0.125, grid, params)
+    psi0 = wkb_assemble(a, 0.1 * X1 * X2, grid, params)
     masses = []
     evolve_nls(psi0, T=0.2, dt=1e-3,
                observer=lambda t, p: masses.append(mass(p)),
@@ -221,7 +221,7 @@ def test_merged_march_is_the_palindrome(dim, omega):
     params = SimParams(eps=0.25, Omega=0.9, omega=omega)
     X = grid.meshes
     a = make_gaussian(grid, center=(0.5, -0.25) + (0.0,) * (dim - 2))
-    psi0 = wkb_assemble(a, 0.1 * X[0] * X[1] + 0.2 * X[0], 0.25, grid, params)
+    psi0 = wkb_assemble(a, 0.1 * X[0] * X[1] + 0.2 * X[0], grid, params)
     dt, stride = 1e-2, 3
     seen = {}
     out = evolve_nls(psi0, T=10 * dt, dt=dt, observer_stride=stride,

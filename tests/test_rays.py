@@ -109,21 +109,30 @@ def test_rotation_terms_cancel_on_scalar_sigma():
 
 
 def test_hamiltonian_conserved_and_det_identity():
-    params = SimParams(eps=0.25, Omega=1.0, omega=(1.3, 0.7))
-    phase = QuadraticPhase(np.array([[0.25, 0.12], [0.12, -0.15]]),
-                           np.array([0.2, 0.1]), 0.0)
-    rays = [Ray.from_phase(c, phase)
-            for c in ((0.5, 0.5), (-1.0, 0.3), (0.2, -1.2))]
-    # (0.2, -1.2) reaches a caustic near t = 1.26; stay before it
-    trajs = integrate_rays(rays, dt=1e-3, T=1.0, params=params)
-    for traj in trajs:
-        assert not traj.caustic
-        H = hamiltonian(traj.x, traj.p, params)
-        assert np.max(np.abs(H - H[0])) < 5e-11
-        # det Gamma equals exp(int tr Sigma): Jacobi identity for the flow
-        assert traj.det_trace_gap() < 1e-10
-        np.testing.assert_allclose(traj.det_gamma_from_trace(), traj.det_gamma,
-                                   rtol=1e-5, atol=1e-8)
+    cases = [
+        # (0.2, -1.2) reaches a caustic near t = 1.26; stay before it
+        (SimParams(eps=0.25, Omega=1.0, omega=(1.3, 0.7)),
+         QuadraticPhase(np.array([[0.25, 0.12], [0.12, -0.15]]),
+                        np.array([0.2, 0.1]), 0.0),
+         ((0.5, 0.5), (-1.0, 0.3), (0.2, -1.2))),
+        # 3d: rotation in the (x1, x2) plane only, a third trap frequency,
+        # and a Sigma that couples x3 to x1
+        (SimParams(eps=0.25, Omega=1.0, omega=(1.3, 0.7, 1.1)),
+         QuadraticPhase(np.array([[0.25, 0.12, 0.05], [0.12, -0.15, 0.0],
+                                  [0.05, 0.0, 0.1]]),
+                        np.array([0.2, 0.1, -0.1]), 0.0),
+         ((0.5, 0.5, 0.2), (-1.0, 0.3, -0.4), (0.2, -1.2, 0.6))),
+    ]
+    for params, phase, starts in cases:
+        rays = [Ray.from_phase(c, phase) for c in starts]
+        for traj in integrate_rays(rays, dt=1e-3, T=1.0, params=params):
+            assert not traj.caustic
+            H = hamiltonian(traj.x, traj.p, params)
+            assert np.max(np.abs(H - H[0])) < 5e-11
+            # det Gamma equals exp(int tr Sigma): Jacobi identity for the flow
+            assert traj.det_trace_gap() < 1e-10
+            np.testing.assert_allclose(traj.det_gamma_from_trace(),
+                                       traj.det_gamma, rtol=1e-5, atol=1e-8)
 
 
 def test_bundle_matches_individually_integrated_rays():

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from rotorwkb import (
-    GridSpec,
-    SimParams,
-    WaveField,
-    load_field,
-    save_field,
-    save_wavefield,
-)
+from rotorwkb import GridSpec, load_field, save_field
 from rotorwkb.snapshots import MAGIC
 
 
@@ -43,17 +36,6 @@ def test_round_trip_3d(tmp_path):
     assert snap.grid.dim == 3
 
 
-def test_save_wavefield_carries_time_and_eps(tmp_path):
-    grid = GridSpec.square(16, 4.0)
-    params = SimParams(eps=0.125)
-    psi = WaveField(np.ones(grid.shape, dtype=complex), 1.5, grid, params)
-    path = tmp_path / "psi.rsfw"
-    save_wavefield(path, psi)
-    snap = load_field(path)
-    assert snap.eps == 0.125
-    assert snap.t == 1.5
-
-
 def test_truncated_payload_rejected(tmp_path):
     grid = GridSpec.square(16, 4.0)
     path = tmp_path / "cut.rsfw"
@@ -82,3 +64,18 @@ def test_mangled_header_rejected(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ValueError):
         load_field(path)
+
+
+@pytest.mark.parametrize("header, why", [
+    ("2 8 8 4.0 4.0 nan 0.0", "eps = nan"),
+    ("2 8 8 4.0 4.0 -0.25 0.0", "eps = -0.25"),
+    ("2 8 8 4.0 4.0 0.5 inf", "t = inf"),
+    ("2 8 8 inf 4.0 0.5 0.0", "half_extent must be positive and finite"),
+])
+def test_nonfinite_or_negative_header_values_rejected(tmp_path, header, why):
+    # every header number is checked, and the error names the file
+    path = tmp_path / "bad.rsfw"
+    path.write_bytes(MAGIC + header.encode("ascii") + b"\n" + b"\x00" * (16 * 64))
+    with pytest.raises(ValueError, match=why) as info:
+        load_field(path)
+    assert str(path) in str(info.value)
