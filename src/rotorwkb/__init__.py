@@ -7,6 +7,8 @@ an epsilon-sweep harness that measures the semiclassical convergence
 rate between them.
 """
 
+__version__ = "0.1.0"
+
 from .config import (ConfigError, InitialData, PhaseSpec, RunConfig,
                      apply_overrides, load_config, parse_config, serialize)
 from .core import (GridSpec, Nonlinearity, NumericalAbort, SimParams,
@@ -34,5 +36,3 @@ from .runner import (RunResult, SweepError, SweepResult, build_hydro_state,
                      build_ray_bundle, build_wavefield, build_wkb_state,
                      compare_fields, epsilon_sweep, run)
 from .snapshots import Snapshot, load_field, save_field
-
-__version__ = "0.1.0"

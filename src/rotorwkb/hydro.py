@@ -421,6 +421,10 @@ def _march(state0: WKBState, T, dt, observer, observer_stride, sponge_strength,
     return alpha, beta, v, phi, drift_at(2 * n_steps), t
 
 
+class StepBoundError(ValueError):
+    """A supplied dt exceeds the advective or dispersive step bound."""
+
+
 def _resolve_dt(state0, T, dt, context: str):
     adv, disp = cfl_limits(state0)
     if dt is None:
@@ -430,7 +434,7 @@ def _resolve_dt(state0, T, dt, context: str):
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > adv or dt > disp:
-        raise ValueError(
+        raise StepBoundError(
             f"{context}: dt = {dt:.4g} violates the step bounds "
             f"(advective {adv:.4g}, dispersive {disp:.4g})")
     return dt

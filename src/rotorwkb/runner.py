@@ -23,23 +23,18 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, RunConfig, serialize
 from .core import (GridSpec, WaveField, boundary_max, integrate,
                    make_gaussian, make_vortex_init, sobolev_norm,
                    spectral_gradient, wkb_assemble)
-from .hydro import HydroState, WKBState, cfl_limits, evolve_hydro, evolve_wkb
+from .hydro import HydroState, StepBoundError, WKBState, evolve_hydro, evolve_wkb
 from .nls import evolve_nls
 from .observables import (ObservableRecord, probability_current,
                           record_from_hydro, record_from_wavefield,
                           record_from_wkb, records_to_csv)
 from .rays import QuadraticPhase, Ray, RayTrajectory, integrate_rays
 from .snapshots import load_field, save_field
-
-try:
-    from importlib.metadata import version as _dist_version
-    _VERSION = _dist_version("rotorwkb")
-except Exception:
-    _VERSION = "unknown"
 
 NLS_DEFAULT_DT = 1e-3
 RAYS_DEFAULT_DT = 1e-3
@@ -161,13 +156,14 @@ def _ray_csv(trajectories: list[RayTrajectory], dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_cfl(cfg: RunConfig, state: WKBState):
-    if cfg.dt is None:
-        return
-    adv, disp = cfl_limits(state)
-    if cfg.dt > adv or cfg.dt > disp:
-        raise ConfigError(f"[run].dt: {cfg.dt} violates the step bounds "
-                          f"(advective {adv:.3e}, dispersive {disp:.3e})")
+def _evolve_fields(evolve, state0, cfg: RunConfig, observer):
+    """evolve_wkb or evolve_hydro at the configured step; the solver
+    checks dt against its step bounds, and a violation is a config error."""
+    try:
+        return evolve(state0, T=cfg.T, dt=cfg.dt, observer=observer,
+                      observer_stride=cfg.stride, sponge_strength=cfg.sponge)
+    except StepBoundError as exc:
+        raise ConfigError(f"[run].dt: {exc}") from exc
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -202,28 +198,20 @@ def run(cfg: RunConfig) -> RunResult:
         final_values = final.values
     elif cfg.solver == "wkb":
         state0 = build_wkb_state(cfg)
-        _check_cfl(cfg, state0)
         _save_initial(outdir, state0.amplitude(), cfg.grid, state0.eps,
                       "wkb-amplitude", artifacts)
-        final = evolve_wkb(state0, T=cfg.T, dt=cfg.dt,
-                           observer=observing(record_from_wkb,
-                                              lambda s: s.amplitude(),
-                                              "wkb-amplitude"),
-                           observer_stride=cfg.stride,
-                           sponge_strength=cfg.sponge)
+        final = _evolve_fields(evolve_wkb, state0, cfg,
+                               observing(record_from_wkb, lambda s: s.amplitude(),
+                                         "wkb-amplitude"))
         final_values = final.amplitude()
     elif cfg.solver == "hydro":
         h0 = build_hydro_state(cfg)
-        shadow = WKBState.from_amplitude(np.sqrt(h0.rho), cfg.grid, cfg.sim, eps=0.0)
-        _check_cfl(cfg, replace(shadow, v=h0.v.copy()))
         _save_initial(outdir, h0.rho.astype(complex), cfg.grid, 0.0,
                       "hydro-density", artifacts)
-        final = evolve_hydro(h0, T=cfg.T, dt=cfg.dt,
-                             observer=observing(record_from_hydro,
-                                                lambda s: s.rho.astype(complex),
-                                                "hydro-density"),
-                             observer_stride=cfg.stride,
-                             sponge_strength=cfg.sponge)
+        final = _evolve_fields(evolve_hydro, h0, cfg,
+                               observing(record_from_hydro,
+                                         lambda s: s.rho.astype(complex),
+                                         "hydro-density"))
         final_values = np.sqrt(final.rho)
     elif cfg.solver == "rays":
         bundle = build_ray_bundle(cfg)
@@ -258,7 +246,7 @@ def run(cfg: RunConfig) -> RunResult:
         "config": serialize(cfg),
         "versions": {"python": sys.version.split()[0],
                      "numpy": np.__version__,
-                     "rotorwkb": _VERSION},
+                     "rotorwkb": __version__},
         "wall_time_s": time.perf_counter() - t_wall,
         "boundary_leak": leak,
         "n_records": len(records),

@@ -11,7 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rotorwkb import cli
+import rotorwkb
+from rotorwkb import cli, hydro
 from rotorwkb.config import ConfigError, RunConfig, serialize
 from rotorwkb.core import GridSpec, Nonlinearity, NumericalAbort, SimParams
 from rotorwkb.runner import (SweepError, _worker_count, build_ray_bundle,
@@ -65,6 +66,7 @@ def test_manifest_hashes_every_artifact(tmp_path):
     assert manifest["solver"] == "wkb"
     assert manifest["boundary_leak"] >= 0.0
     assert manifest["wall_time_s"] > 0.0
+    assert manifest["versions"]["rotorwkb"] == rotorwkb.__version__
     assert result.manifest == manifest
 
 
@@ -370,6 +372,31 @@ def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert "unknown section [bogus]" in capsys.readouterr().err
     assert cli.main(["run-nls", str(path), "--run.stride=1e400"]) == 2
     assert "[run].stride: must be finite" in capsys.readouterr().err
+
+
+def test_cli_checks_the_step_bounds_once_per_run(tmp_path, capsys, monkeypatch):
+    # the rotation drift bounds the advective step on both routes, so
+    # dt = 0.5 is rejected by run-wkb and run-hydro alike
+    calls, real = [], hydro.cfl_limits
+
+    def counted(state):
+        calls.append(state)
+        return real(state)
+
+    monkeypatch.setattr(hydro, "cfl_limits", counted)
+    path = tmp_path / "run.cfg"
+    path.write_text("[sim]\nOmega = 0.5\n[grid]\npoints = 64 64\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\noutdir = {tmp_path / 'o'}\nT = 0.002\nphase = zero\n",
+                    encoding="utf-8")
+    for command in ("run-wkb", "run-hydro"):
+        calls.clear()
+        assert cli.main([command, str(path), "--run.dt=0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: [run].dt:") and "step bounds" in err
+        assert len(calls) == 1
+        calls.clear()
+        assert cli.main([command, str(path), "--run.dt=0.001"]) == 0
+        assert len(calls) == 1
 
 
 def test_cli_maps_numerical_aborts_to_exit_3(tmp_path, capsys):

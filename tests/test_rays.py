@@ -25,7 +25,8 @@ from rotorwkb import (
     quadratic_phase_evolve,
 )
 from rotorwkb import rays
-from rotorwkb.rays import flow_propagator
+from rotorwkb.core import time_grid
+from rotorwkb.rays import CAUSTIC_DET, flow_propagator
 
 
 def _rot(theta):
@@ -148,6 +149,106 @@ def test_bundle_matches_individually_integrated_rays():
         np.testing.assert_allclose(traj.p, solo.p, atol=1e-14)
         np.testing.assert_allclose(traj.sigma, solo.sigma, atol=1e-13)
         np.testing.assert_allclose(traj.action, solo.action, atol=1e-14)
+
+
+def _stepwise(rays_in, dt, T, params, store_stride):
+    """Reference march, one ray and one step at a time: z <- z + E z,
+    det Gamma by np.linalg.det, Sigma by np.linalg.solve.  Per ray: the
+    cut step, the stored (step, z, Sigma, Gamma, s) rows, and tr Sigma
+    with |Gamma|^d / det Gamma at every step."""
+    d = rays_in[0].x.shape[0]
+    n_steps, h = time_grid(T, dt)
+    E, Q = flow_propagator(params, h, d)
+    out = []
+    for ray in rays_in:
+        z = np.concatenate([ray.x, ray.p])
+        Y = np.concatenate([ray.gamma, ray.sigma @ ray.gamma])
+        s, S = ray.action, ray.sigma
+        det, tr = np.linalg.det(ray.gamma), np.trace(ray.sigma)
+        rows, cut = [(0, z, S, ray.gamma, s)], n_steps
+        dense = [(tr, np.linalg.norm(ray.gamma) ** d / det)]
+        for step in range(1, n_steps + 1):
+            z_new, Y_new, s_new = z + E @ z, Y + E @ Y, s + 0.5 * z @ Q @ z
+            det_new = np.linalg.det(Y_new[:d])
+            ok = det_new > CAUSTIC_DET and np.isfinite(z_new).all()
+            if ok:
+                S_new = np.linalg.solve(Y_new[:d].T, Y_new[d:].T)
+                S_new = 0.5 * (S_new + S_new.T)
+                tr_new = np.trace(S_new)
+                ok = not rays._dips_to_caustic(det, det_new, det * tr,
+                                               det_new * tr_new, h)
+            if not ok:
+                cut = step - 1
+                break
+            z, Y, s, S, det, tr = z_new, Y_new, s_new, S_new, det_new, tr_new
+            dense.append((tr, np.linalg.norm(Y[:d]) ** d / det))
+            if step % store_stride == 0 or step == n_steps:
+                rows.append((step, z, S, Y[:d], s))
+        out.append((cut, rows, np.array(dense).T))
+    return out
+
+
+def _fan(d, n, spread):
+    # rays whose launch Hessians differ, so each focuses at its own time
+    out = []
+    for i, sig in enumerate(np.linspace(spread, 0.4, n)):
+        S = np.diag(sig * np.linspace(1.0, 0.7, d))
+        S[0, 1] = S[1, 0] = 0.1
+        x0 = np.linspace(-0.5, 0.5, d) + 0.3 * i - 1.5
+        out.append(Ray.from_phase(x0, QuadraticPhase(S, np.linspace(0.1, -0.2, d))))
+    return out
+
+
+ROT2 = SimParams(eps=0.25, Omega=0.5, omega=(1.2, 0.8))
+ROT3 = SimParams(eps=0.25, Omega=1.0, omega=(1.3, 0.7, 1.1))
+ISO2 = SimParams(eps=0.25, Omega=0.7, omega=(1.0, 1.0))
+# Sigma0 = sigma I in the isotropic trap: det Gamma = (cos t + sigma sin t)^2
+# touches 0 between samples, so only the Hermite dip test cuts these rays
+ISO_FAN = [Ray.from_phase((0.2 * i - 1.0, 0.4),
+                          QuadraticPhase(sig * np.eye(2), np.array([0.1, -0.2])))
+           for i, sig in enumerate(np.linspace(-3.0, -0.5, 10))]
+
+
+@pytest.mark.parametrize("bundle, params, dt, T, stride, budget, on_edges", [
+    # rays cut at distinct steps; in blocks of 11 steps the step that fails
+    # for one ray is first in its block, and for another last
+    (_fan(2, 12, -3.0), ROT2, 0.01, 1.5, 7, 12 * 11, True),
+    (ISO_FAN, ISO2, 0.01, 2.0, 3, 10 * 11, True),
+    # the same bundle over a budget smaller than it: one step per block
+    (_fan(2, 12, -3.0), ROT2, 0.01, 1.5, 7, 11, False),
+    # one ray, 5000 steps: a full block and a partial one
+    (_fan(2, 1, 0.2), ROT2, 2e-4, 1.0, 1, None, False),
+    (_fan(3, 8, -2.0), ROT3, 0.01, 1.6, 9, 8 * 16, False),
+])
+def test_block_march_matches_the_stepwise_reference(monkeypatch, bundle, params, dt,
+                                                    T, stride, budget, on_edges):
+    n_steps, h = time_grid(T, dt)
+    if budget is not None:
+        monkeypatch.setattr(rays, "RAY_STEPS_PER_BLOCK", budget)
+    c = max(1, min(n_steps, rays.RAY_STEPS_PER_BLOCK // len(bundle)))
+    trajs = integrate_rays(bundle, dt, T, params, store_stride=stride)
+    reference = _stepwise(bundle, dt, T, params, stride)
+    cuts = [cut for cut, _, _ in reference]
+    if on_edges:
+        assert len(set(cuts)) == len(cuts)
+        assert {0, c - 1} <= {cut % c for cut in cuts if cut < n_steps}
+    for ray, traj, (cut, rows, (tr, cond)) in zip(bundle, trajs, reference):
+        assert traj.caustic == (cut < n_steps)
+        assert traj.caustic_time == (float(ray.t + cut * h) if cut < n_steps else None)
+        assert len(traj.times) == len(rows)
+        assert len(traj.dense_times) == cut + 1
+        steps, z, S, G, s = (np.array(col) for col in zip(*rows))
+        d = ray.x.shape[0]
+        for got, want in ((traj.times, ray.t + h * steps), (traj.x, z[:, :d]),
+                          (traj.p, z[:, d:]), (traj.gamma, G), (traj.action, s)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # Sigma = (Sigma Gamma) adj Gamma / det Gamma: either march reads it
+        # with its relative digits cut by |Gamma|^d / det Gamma, which grows
+        # without bound toward a caustic
+        G_cond = np.linalg.norm(G, axis=(1, 2)) ** d / np.linalg.det(G)
+        for got, want, scale in ((traj.sigma, S, G_cond[:, None, None]),
+                                 (traj.dense_tr_sigma, tr, cond)):
+            assert np.max(np.abs(got - want) / scale) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_caustic_truncates_trajectory():
