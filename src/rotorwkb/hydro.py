@@ -10,14 +10,16 @@ where w = grad S - Omega x_perp is the drift.  For a quadratic S the
 drift is affine, div w = tr Sigma, and the matrix contracted against v
 is the transposed drift Jacobian Sigma + Omega J (the term is
 v_j d_i w_j).  The drift coefficients are not part of the RK4 state:
-they follow the exact quadratic phase flow (rays.quadratic_phase_evolve),
-sampled once on the half-step grid, so every stage sees the drift at its
-own time.  A drift caustic before the horizon aborts the run.
+evolve_wkb samples them from the exact quadratic phase flow
+(rays.quadratic_phase_evolve) on the half-step grid, so every stage
+sees the drift at its own time.  A drift caustic before the horizon
+aborts the run.
 
 At eps = 0 the same stencils also march the limit system in total
-velocity form (evolve_hydro): the drift freezes to -Omega x_perp and
-the trap force grad V, absorbed by S in the WKB route, acts on v
-explicitly.
+velocity form (evolve_hydro): the drift freezes to -Omega x_perp, so
+its fields are built once per run, and the trap force grad V, absorbed
+by S in the WKB route, acts on v explicitly.  Both routes share one
+RK4 loop; each hands it its own fields, rates and drift sampler.
 
 Discretization: periodic 4th-order centered differences, RK4 in time.
 The amplitude advection uses the split form
@@ -138,13 +140,8 @@ class WKBState:
 
     def total_velocity(self) -> np.ndarray:
         """v + grad S, the velocity entering the limit observables."""
-        out = np.array(self.v)
-        for i in range(self.grid.dim):
-            gradS_i = self.drift.b[i]
-            for j, X in enumerate(self.grid.meshes):
-                gradS_i = gradS_i + self.drift.Sigma[i, j] * X
-            out[i] += gradS_i
-        return out
+        return self.v + np.array(_affine_field(self.drift.b, self.drift.Sigma,
+                                               self.grid.meshes))
 
     def to_wavefield(self) -> WaveField:
         """Reassemble psi = a exp(i(phi + S)/eps); requires eps > 0."""
@@ -180,31 +177,33 @@ class HydroState:
 
 # ---------- drift helpers ----------
 
+def _affine_field(b, M, coords) -> list[np.ndarray]:
+    """The components of b + M x at the coordinates x: the grid meshes,
+    or the coordinates of one point."""
+    out = []
+    for i in range(len(coords)):
+        ui = np.full(np.shape(coords[0]), b[i])
+        for j, X in enumerate(coords):
+            ui = ui + M[i, j] * X
+        out.append(ui)
+    return out
+
+
 def drift_fields(drift: QuadraticPhase, grid: GridSpec, params: SimParams):
-    """w = (Sigma - Omega J) x + b on the grid, plus div w and the
-    coupling matrix (the transposed drift Jacobian Sigma + Omega J)."""
+    """w = (Sigma - Omega J) x + b on the grid, and the coupling matrix
+    (the transposed drift Jacobian Sigma + Omega J)."""
     J = rotation_generator(grid.dim)
-    Dw = drift.Sigma - params.Omega * J
-    w = []
-    for i in range(grid.dim):
-        wi = np.full(grid.shape, drift.b[i])
-        for j, X in enumerate(grid.meshes):
-            wi = wi + Dw[i, j] * X
-        w.append(wi)
-    div_w = float(np.trace(drift.Sigma))
-    coupling = drift.Sigma + params.Omega * J
-    return w, div_w, coupling
+    w = _affine_field(drift.b, drift.Sigma - params.Omega * J, grid.meshes)
+    return w, drift.Sigma + params.Omega * J
 
 
 # ---------- semi-discrete right-hand side ----------
 
 def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
-                eps: float, extra_force=None, with_phi=False):
-    """Rates for (alpha, beta, v[, phi]) given the drift fields.
+                eps: float):
+    """Rates for (alpha, beta, v, phi) given the drift fields.
 
-    The amplitude advection is in split (skew-symmetric) form; extra
-    gradient forces (the explicit trap force of the limit system) are
-    appended to the v equation.
+    The amplitude advection is in split (skew-symmetric) form.
     """
     dim = grid.dim
     h = grid.spacing
@@ -234,12 +233,8 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
             if coupling[i, j] != 0.0:
                 acc += coupling[i, j] * v[j]
         acc += grad_f[i]
-        if extra_force is not None:
-            acc += extra_force[i]
         dv[i] = -acc
 
-    if not with_phi:
-        return dalpha, dbeta, dv, None
     # d_t phi = -(w . v + |v|^2/2 + f(rho))
     wv = np.zeros(grid.shape)
     v2 = np.zeros(grid.shape)
@@ -252,9 +247,9 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
 
 def rhs_wkb(state: WKBState):
     """Time derivative of (alpha, beta, v, phi) at the state's drift and eps."""
-    w, _, coupling = drift_fields(state.drift, state.grid, state.params)
+    w, coupling = drift_fields(state.drift, state.grid, state.params)
     return _fields_rhs(state.alpha, state.beta, np.array(state.v), w, coupling,
-                       state.grid, state.params, state.eps, with_phi=True)
+                       state.grid, state.params, state.eps)
 
 
 # ---------- hyperbolic structure ----------
@@ -289,8 +284,10 @@ def assemble_matrices(state: WKBState, xi, at: tuple) -> SystemMatrices:
     if not fp > 0:
         raise ValueError(f"symmetrizer needs f' > 0, got f'({rho:.3g}) = {fp:.3g}")
 
-    w, div_w, coupling = drift_fields(state.drift, state.grid, state.params)
-    w_xi = float(sum(w[j][at] * xi[j] for j in range(dim)))
+    drift, J = state.drift, rotation_generator(dim)
+    w = _affine_field(drift.b, drift.Sigma - state.params.Omega * J,
+                      [X[at] for X in state.grid.meshes])
+    w_xi = float(sum(w[j] * xi[j] for j in range(dim)))
     v_xi = float(vloc @ xi)
 
     n = dim + 2
@@ -306,9 +303,9 @@ def assemble_matrices(state: WKBState, xi, at: tuple) -> SystemMatrices:
     B = w_xi * np.eye(n)
 
     M = np.zeros((n, n))
-    M[0, 0] = 0.5 * div_w
-    M[1, 1] = 0.5 * div_w
-    M[2:, 2:] = coupling
+    M[0, 0] = 0.5 * float(np.trace(drift.Sigma))
+    M[1, 1] = M[0, 0]
+    M[2:, 2:] = drift.Sigma + state.params.Omega * J
 
     Q = np.eye(n)
     Q[2:, 2:] = np.eye(dim) / (4.0 * fp)
@@ -330,7 +327,7 @@ def _sponge_profile(grid: GridSpec, strength: float) -> np.ndarray:
 def cfl_limits(state: WKBState) -> tuple[float, float]:
     """Advective and dispersive step bounds 0.5 dx/max|v+w|, 0.2 dx^2/eps,
     with eps the state's (no dispersive bound at eps = 0)."""
-    w, _, _ = drift_fields(state.drift, state.grid, state.params)
+    w, _ = drift_fields(state.drift, state.grid, state.params)
     speed2 = np.zeros(state.grid.shape)
     for j in range(state.grid.dim):
         speed2 += (state.v[j] + w[j]) ** 2
@@ -341,84 +338,58 @@ def cfl_limits(state: WKBState) -> tuple[float, float]:
     return adv, disp
 
 
-def _march(state0: WKBState, T, dt, observer, observer_stride, sponge_strength,
-           extra_force, with_phi, with_drift, make_state):
-    """Shared RK4 loop for the WKB and limit-hydro systems.
+def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
+           h: float, observer, observer_stride, sponge_strength):
+    """The RK4 loop of the WKB and limit-hydro systems.
 
-    The RK4 state is (alpha, beta, v, phi), started from state0 and
-    marched at its eps; the drift is sampled from its exact path on the
-    half-step grid (with_drift) or stays at state0's.  Stages 2 and 3
-    share the midpoint drift fields.  The endpoint fields are built
-    again at the next step's stage 1: keeping them across the step
-    raised the peak memory of a 256^2 march by about 1 MB.
+    fields are the caller's RK4 fields, (alpha, beta, v) first.  Only
+    those three get stage values, and the sponge relaxes them toward
+    their start.  rates(alpha, beta, v, drift_fields) gives one rate per
+    field, and sample(k) the drift fields at half step k: evolve_wkb
+    samples its exact drift path there, evolve_hydro hands back the
+    fields it built once.  Stages 2 and 3 share the midpoint sample.  The
+    endpoint sample is taken again at the next step's stage 1: keeping it
+    across the step raised the peak memory of a 256^2 march by about
+    1 MB.  make_state(fields, step, t) wraps the fields for the observer
+    and for the return.
     """
-    grid, params, eps, drift = state0.grid, state0.params, state0.eps, state0.drift
-    alpha, beta, v, phi = (np.array(a) for a in
-                           (state0.alpha, state0.beta, state0.v, state0.phi))
-    n_steps, h = time_grid(T, dt)
-
-    if with_drift and T > 0:
-        path = quadratic_phase_evolve(drift, 0.5 * h, T, params)
-        if path.blown_up:
-            step = (len(path.times) - 1) // 2 + 1
-            raise NumericalAbort(f"the drift phase reaches a caustic in step {step}, "
-                                 f"after t = {path.blowup_time:.6g}", step, path.blowup_time)
-        drift_at = path.at_index
-    else:
-        def drift_at(k):
-            return drift
-
-    sigma = _sponge_profile(grid, sponge_strength)
-    damp = np.exp(-sigma * h)
-    ref_alpha, ref_beta = alpha.copy(), beta.copy()
-    ref_v = v.copy()
-
-    def fields_at(k):
-        return drift_fields(drift_at(k), grid, params)
-
-    def rates(al, be, vv, fields):
-        w, _, coupling = fields
-        return _fields_rhs(al, be, vv, w, coupling, grid, params, eps,
-                           extra_force, with_phi)
+    if observer_stride < 1:
+        raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
+    fields = [np.array(u) for u in fields]
+    damp = np.exp(-_sponge_profile(grid, sponge_strength) * h)
+    ref = [u.copy() for u in fields[:3]]
 
     t = 0.0
     if observer is not None:
-        observer(t, make_state(alpha, beta, v, phi, drift_at(0), t))
+        observer(t, make_state(fields, 0, t))
 
     for step in range(1, n_steps + 1):
         k0 = 2 * (step - 1)
         # a genuine blowup is reported via NumericalAbort, not warning spam
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rates(alpha, beta, v, fields_at(k0))
-            mid = fields_at(k0 + 1)
-            k2 = rates(alpha + 0.5 * h * k1[0], beta + 0.5 * h * k1[1],
-                       v + 0.5 * h * k1[2], mid)
-            k3 = rates(alpha + 0.5 * h * k2[0], beta + 0.5 * h * k2[1],
-                       v + 0.5 * h * k2[2], mid)
+            k1 = rates(*fields[:3], sample(k0))
+            mid = sample(k0 + 1)
+            k2 = rates(*[u + 0.5 * h * k for u, k in zip(fields[:3], k1)], mid)
+            k3 = rates(*[u + 0.5 * h * k for u, k in zip(fields[:3], k2)], mid)
             del mid
-            k4 = rates(alpha + h * k3[0], beta + h * k3[1], v + h * k3[2],
-                       fields_at(k0 + 2))
+            k4 = rates(*[u + h * k for u, k in zip(fields[:3], k3)], sample(k0 + 2))
 
-            alpha = alpha + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            beta = beta + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            v = v + (h / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-            if with_phi:
-                phi = phi + (h / 6.0) * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
-
+            for i in range(len(fields)):
+                fields[i] = fields[i] + (h / 6.0) * (
+                    k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
             if sponge_strength > 0:
-                alpha = ref_alpha + (alpha - ref_alpha) * damp
-                beta = ref_beta + (beta - ref_beta) * damp
-                v = ref_v + (v - ref_v) * damp
+                for i in range(3):
+                    fields[i] = ref[i] + (fields[i] - ref[i]) * damp
 
         t = step * h
-        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()
-                and np.isfinite(v).all()):
+        if not all(np.isfinite(u).all() for u in fields[:3]):
             raise NumericalAbort(
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
         if observer is not None and (step % observer_stride == 0 or step == n_steps):
-            observer(t, make_state(alpha, beta, v, phi, drift_at(2 * step), t))
+            observer(t, make_state(fields, step, t))
 
-    return alpha, beta, v, phi, drift_at(2 * n_steps), t
+    del k1, k2, k3, k4
+    return make_state(fields, n_steps, t)
 
 
 class StepBoundError(ValueError):
@@ -440,7 +411,7 @@ def _resolve_dt(state0, T, dt, context: str):
     return dt
 
 
-def evolve_wkb(state0: WKBState, T: float = 0.0, dt: float | None = None,
+def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
                observer: Callable[[float, WKBState], None] | None = None,
                observer_stride: int = 1,
                sponge_strength: float = 20.0) -> WKBState:
@@ -455,15 +426,28 @@ def evolve_wkb(state0: WKBState, T: float = 0.0, dt: float | None = None,
     if T < 0:
         raise ValueError(f"duration T must be nonnegative, got {T}")
     dt = _resolve_dt(state0, T, dt, "evolve_wkb")
+    grid, params, eps, drift = state0.grid, state0.params, state0.eps, state0.drift
+    n_steps, h = time_grid(T, dt)
+    if T > 0:
+        path = quadratic_phase_evolve(drift, 0.5 * h, T, params)
+        if path.blown_up:
+            step = (len(path.times) - 1) // 2 + 1
+            raise NumericalAbort(f"the drift phase reaches a caustic in step {step}, "
+                                 f"after t = {path.blowup_time:.6g}", step, path.blowup_time)
+        drift_at = path.at_index
+    else:
+        def drift_at(k):
+            return drift
 
-    def make_state(al, be, vv, ph, dr, t):
-        return WKBState(al, be, vv, ph, dr, state0.eps, state0.t + t,
-                        state0.grid, state0.params)
+    def rates(al, be, vv, fields):
+        return _fields_rhs(al, be, vv, *fields, grid, params, eps)
 
-    alpha, beta, v, phi, drift, t = _march(
-        state0, T, dt, observer, observer_stride, sponge_strength,
-        extra_force=None, with_phi=True, with_drift=True, make_state=make_state)
-    return make_state(alpha, beta, v, phi, drift, t)
+    def make_state(fields, step, t):
+        return WKBState(*fields, drift_at(2 * step), eps, state0.t + t, grid, params)
+
+    return _march([state0.alpha, state0.beta, state0.v, state0.phi], rates,
+                  lambda k: drift_fields(drift_at(k), grid, params), make_state,
+                  grid, n_steps, h, observer, observer_stride, sponge_strength)
 
 
 def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
@@ -473,8 +457,9 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     """March the limit hydrodynamics (rho, v) in total-velocity form.
 
     Internally evolves (alpha, beta, v) from alpha = sqrt(rho), beta = 0
-    with the rotation drift -Omega x_perp held fixed and the trap force
-    applied explicitly, then reads back rho = alpha^2 + beta^2.
+    with the rotation drift -Omega x_perp held fixed (its fields are
+    built once) and the trap force applied explicitly, then reads back
+    rho = alpha^2 + beta^2.
 
     The periodic stencils differentiate the full v, so a velocity that
     does not decay toward the box boundary (an affine carrier phase,
@@ -492,15 +477,20 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
                       np.zeros(grid.shape), QuadraticPhase.zero(grid.dim), 0.0,
                       h0.t, grid, params)
     dt = _resolve_dt(shadow, T, dt, "evolve_hydro")
+    fixed = drift_fields(shadow.drift, grid, params)
 
-    def make_state(al, be, vv, ph, dr, t):
+    def rates(al, be, vv, fields):
+        dalpha, dbeta, dv, _ = _fields_rhs(al, be, vv, *fields, grid, params, 0.0)
+        dv -= force
+        return dalpha, dbeta, dv
+
+    def make_state(fields, step, t):
+        al, be, vv = fields
         return HydroState(al * al + be * be, vv, h0.t + t, grid, params)
 
-    alpha, beta, v, _, _, t = _march(
-        shadow, T, dt, observer, observer_stride, sponge_strength,
-        extra_force=force, with_phi=False, with_drift=False,
-        make_state=make_state)
-    return make_state(alpha, beta, v, None, None, t)
+    return _march([shadow.alpha, shadow.beta, shadow.v], rates, lambda k: fixed,
+                  make_state, grid, *time_grid(T, dt), observer, observer_stride,
+                  sponge_strength)
 
 
 # ---------- phase accumulation and extraction ----------

@@ -20,10 +20,9 @@ The rotation generator commutes with the kinetic term, the rotation
 term and a local nonlinearity, so only the trap torque
 x_perp . grad V moves m, at every eps and every Omega.  Its coefficient
 is omega1^2 - omega2^2; the deformation-scaled prefactor sometimes
-quoted for it is dimensionally inconsistent, and both values are
-exposed on MomentODEParams so the gap stays visible.  For isotropic
-traps the system closes: m is conserved and X breathes at 2 omega
-whatever Omega is; isotropic_closed_form evaluates the solution.
+quoted for it is dimensionally inconsistent.  For isotropic traps the
+system closes: m is conserved and X breathes at 2 omega whatever Omega
+is; isotropic_closed_form evaluates the solution.
 """
 
 from __future__ import annotations
@@ -230,12 +229,6 @@ class MomentODEParams:
     def __post_init__(self):
         if self.omega_perp_sq <= 0:
             raise ValueError("trap frequencies must not both vanish")
-
-    @property
-    def delta(self) -> float:
-        """Trap deformation (omega1^2 - omega2^2) / (omega1^2 + omega2^2)."""
-        w1, w2 = self.omega[0] ** 2, self.omega[1] ** 2
-        return (w1 - w2) / (w1 + w2)
 
     @property
     def omega_perp_sq(self) -> float:

@@ -296,6 +296,8 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
     """
     if dt <= 0 or T < 0:
         raise ValueError(f"need dt > 0 and T >= 0, got dt={dt}, T={T}")
+    if store_stride < 1:
+        raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     B = len(rays)
     d = rays[0].x.shape[0]
     n_steps, h = time_grid(T, dt)

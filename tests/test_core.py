@@ -133,6 +133,37 @@ def test_time_grid_never_steps_past_dt():
     assert len(ts) == 5 and np.diff(ts).max() <= dt
 
 
+@pytest.mark.parametrize("stride", [0, -2])
+def test_every_marcher_rejects_a_stride_below_one(stride):
+    from rotorwkb.hydro import HydroState, WKBState, evolve_hydro, evolve_wkb
+    from rotorwkb.nls import evolve_nls
+    from rotorwkb.rays import QuadraticPhase, Ray, integrate_rays
+
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
+    grid = GridSpec.square(16, 4.0)
+    a0 = make_gaussian(grid)
+    dt, T = 0.01, 0.04
+    seen = []
+
+    def observer(t, state):
+        seen.append(t)
+
+    with pytest.raises(ValueError, match="observer_stride must be >= 1"):
+        evolve_nls(WaveField(a0, 0.0, grid, params), T=T, dt=dt,
+                   observer=observer, observer_stride=stride)
+    with pytest.raises(ValueError, match="observer_stride must be >= 1"):
+        evolve_wkb(WKBState.from_amplitude(a0, grid, params), T=T, dt=dt,
+                   observer=observer, observer_stride=stride)
+    with pytest.raises(ValueError, match="observer_stride must be >= 1"):
+        evolve_hydro(HydroState(a0 * a0, np.zeros((2,) + grid.shape), 0.0, grid,
+                                params), T=T, dt=dt, observer=observer,
+                     observer_stride=stride)
+    with pytest.raises(ValueError, match="store_stride must be >= 1"):
+        integrate_rays([Ray.from_phase(np.zeros(2), QuadraticPhase.zero(2))],
+                       dt, T, params, store_stride=stride)
+    assert seen == []
+
+
 # ---------- grids ----------
 
 

@@ -36,7 +36,7 @@ from rotorwkb import (
     rhs_wkb,
     wkb_assemble,
 )
-from rotorwkb.hydro import d1, d2
+from rotorwkb.hydro import d1, d2, drift_fields
 
 
 # ---------- stencils ----------
@@ -184,6 +184,32 @@ def test_hydro_route_matches_wkb_route_at_zero_phase():
     assert np.max(np.abs(wkb.density() - hyd.rho)) < 1e-12
 
 
+def test_drift_fields_are_built_per_sample_on_wkb_and_once_on_hydro(monkeypatch):
+    # the WKB drift moves, so each step samples it at its start, midpoint
+    # (shared by stages 2 and 3) and end; the hydro drift is fixed and
+    # built once.  Either route builds one more in its step-bound check.
+    import rotorwkb.hydro as hydro
+
+    builds = []
+    real = hydro.drift_fields
+
+    def counting(*args):
+        builds.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(hydro, "drift_fields", counting)
+    grid = GridSpec.square(16, 4.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
+    a0 = make_gaussian(grid)
+    n, dt = 5, 0.01
+    evolve_wkb(WKBState.from_amplitude(a0, grid, params), T=n * dt, dt=dt)
+    assert len(builds) == 3 * n + 1
+    builds.clear()
+    evolve_hydro(HydroState(a0**2, np.zeros((2,) + grid.shape), 0.0, grid, params),
+                 T=n * dt, dt=dt)
+    assert len(builds) == 2
+
+
 def test_uniform_state_is_a_fixed_point_with_linear_phase_drop():
     # constant density, no trap, no rotation: nothing moves and
     # phi(t) = -f(rho0) t uniformly
@@ -246,10 +272,19 @@ def test_symmetrizer_makes_the_flux_matrices_symmetric():
                          rng.standard_normal((2,) + grid.shape),
                          np.zeros(grid.shape), drift, 0.25, 0.0, grid, params)
         at = tuple(int(i) for i in rng.integers(0, 8, size=2))
-        mats = assemble_matrices(state, rng.standard_normal(2), at)
+        xi = rng.standard_normal(2)
+        mats = assemble_matrices(state, xi, at)
         for F in (mats.Q @ mats.A, mats.Q @ mats.B):
             np.testing.assert_allclose(F, F.T, rtol=0.0,
                                        atol=1e-14 * np.max(np.abs(F)))
+        # B and M carry the drift built on the grid, read at the same point
+        w, coupling = drift_fields(drift, grid, params)
+        w_xi = sum(w[j][at] * xi[j] for j in range(2))
+        np.testing.assert_allclose(mats.B, w_xi * np.eye(4), rtol=1e-14, atol=1e-14)
+        M = np.zeros((4, 4))
+        M[0, 0] = M[1, 1] = 0.5 * np.trace(drift.Sigma)
+        M[2:, 2:] = coupling
+        np.testing.assert_allclose(mats.M, M, rtol=1e-14, atol=1e-14)
 
     linear = SimParams(eps=0.25, nonlinearity=Nonlinearity.none())
     state = WKBState.from_amplitude(make_gaussian(grid), grid, linear)

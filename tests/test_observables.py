@@ -228,7 +228,6 @@ def test_moment_ode_rhs_hand_values():
     q = MomentODEParams(Omega=0.5, omega=(2.0, 1.0), E0=1.0, m0=0.0,
                         n0=0.0, X0=1.0)
     assert not q.isotropic
-    assert q.delta == pytest.approx(0.6)
     assert q.omega_perp_sq == pytest.approx(2.5)
     mdot, ndot = moment_ode_rhs(m=0.0, n=0.2, X=1.0, xy=0.1, p=q,
                                 weighted_x2=5.0)
