@@ -121,6 +121,9 @@ def _dispatch(ns: argparse.Namespace, overrides: dict[str, str]) -> int:
             if snap.eps <= 0:
                 raise ConfigError(f"{path}: snapshot has eps = {snap.eps}; "
                                   f"observables need a wavefunction field")
+            if snap.grid.dim != cfg.sim.dim:
+                raise ConfigError(f"{path}: snapshot is {snap.grid.dim}d but "
+                                  f"[sim].omega gives {cfg.sim.dim}d")
             psi = WaveField(values=snap.values, t=snap.t, grid=snap.grid,
                             params=replace(cfg.sim, eps=snap.eps))
             records.append(record_from_wavefield(psi))

@@ -19,7 +19,8 @@ At eps = 0 the same stencils also march the limit system in total
 velocity form (evolve_hydro): the drift freezes to -Omega x_perp, so
 its fields are built once per run, and the trap force grad V, absorbed
 by S in the WKB route, acts on v explicitly.  Both routes share one
-RK4 loop; each hands it its own fields, rates and drift sampler.
+RK4 loop; each hands it its own fields, rates and drift sampler.  Only
+the WKB route carries phi, so only it forms the phase rate.
 
 Discretization: periodic 4th-order centered differences, RK4 in time.
 The amplitude advection uses the split form
@@ -201,9 +202,11 @@ def drift_fields(drift: QuadraticPhase, grid: GridSpec, params: SimParams):
 
 def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
                 eps: float):
-    """Rates for (alpha, beta, v, phi) given the drift fields.
+    """Rates for (alpha, beta, v) given the drift fields, and f(rho).
 
-    The amplitude advection is in split (skew-symmetric) form.
+    The amplitude advection is in split (skew-symmetric) form.  f(rho)
+    is handed out for _phase_rate, so the WKB route reads it without a
+    second pass and the limit route never forms the phase rate.
     """
     dim = grid.dim
     h = grid.spacing
@@ -234,22 +237,30 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
                 acc += coupling[i, j] * v[j]
         acc += grad_f[i]
         dv[i] = -acc
+    return dalpha, dbeta, dv, f_rho
 
-    # d_t phi = -(w . v + |v|^2/2 + f(rho))
-    wv = np.zeros(grid.shape)
-    v2 = np.zeros(grid.shape)
-    for j in range(dim):
+
+def _phase_rate(v, w, f_rho):
+    """d_t phi = -(w . v + |v|^2/2 + f(rho))."""
+    wv = np.zeros(f_rho.shape)
+    v2 = np.zeros(f_rho.shape)
+    for j in range(len(w)):
         wv += w[j] * v[j]
         v2 += v[j] * v[j]
-    dphi = -(wv + 0.5 * v2 + f_rho)
-    return dalpha, dbeta, dv, dphi
+    # in place, the same bits as -(wv + 0.5 v2 + f_rho) without temporaries
+    v2 *= 0.5
+    wv += v2
+    wv += f_rho
+    return np.negative(wv, out=wv)
 
 
 def rhs_wkb(state: WKBState):
     """Time derivative of (alpha, beta, v, phi) at the state's drift and eps."""
     w, coupling = drift_fields(state.drift, state.grid, state.params)
-    return _fields_rhs(state.alpha, state.beta, np.array(state.v), w, coupling,
-                       state.grid, state.params, state.eps)
+    v = np.array(state.v)
+    dalpha, dbeta, dv, f_rho = _fields_rhs(state.alpha, state.beta, v, w, coupling,
+                                           state.grid, state.params, state.eps)
+    return dalpha, dbeta, dv, _phase_rate(v, w, f_rho)
 
 
 # ---------- hyperbolic structure ----------
@@ -440,7 +451,10 @@ def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
             return drift
 
     def rates(al, be, vv, fields):
-        return _fields_rhs(al, be, vv, *fields, grid, params, eps)
+        w, coupling = fields
+        dalpha, dbeta, dv, f_rho = _fields_rhs(al, be, vv, w, coupling, grid,
+                                               params, eps)
+        return dalpha, dbeta, dv, _phase_rate(vv, w, f_rho)
 
     def make_state(fields, step, t):
         return WKBState(*fields, drift_at(2 * step), eps, state0.t + t, grid, params)
@@ -493,26 +507,7 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
                   sponge_strength)
 
 
-# ---------- phase accumulation and extraction ----------
-
-def accumulate_phi(states: list[WKBState]) -> np.ndarray:
-    """Rebuild phi at the last stored time by trapezoid rule on d_t phi.
-
-    Recomputes the pointwise phase rate at every stored state and
-    integrates; an independent consistency route against the phi the
-    integrator carries in-state.
-    """
-    if len(states) < 2:
-        raise ValueError("need at least two stored states")
-    phi = np.array(states[0].phi)
-    prev_rate = rhs_wkb(states[0])[3]
-    prev_t = states[0].t
-    for st in states[1:]:
-        rate = rhs_wkb(st)[3]
-        phi = phi + 0.5 * (st.t - prev_t) * (prev_rate + rate)
-        prev_rate, prev_t = rate, st.t
-    return phi
-
+# ---------- phase consistency and extraction ----------
 
 def gradient_consistency(state: WKBState) -> float:
     """Max gap between the centered gradient of the carried phi and v."""

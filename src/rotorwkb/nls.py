@@ -6,7 +6,8 @@ One Strang step is the palindrome
 
 where P is the pointwise potential plus nonlinearity phase rotation and
 K1, K2 are kinetic-plus-rotation substeps, each solved exactly in
-Fourier space along a single axis:
+Fourier space along a single axis (SplitStepPlan.step applies the
+palindrome to a bare sample array):
 
     K1:  i eps d_t psi = -(eps^2/2) d11 psi + i eps Omega x2 d1 psi
     K2:  i eps d_t psi = -(eps^2/2) d22 psi - i eps Omega x1 d2 psi
@@ -109,31 +110,6 @@ class SplitStepPlan:
         values = _kinetic(values, self.k1_half, self.k1_axes)
         return _potential_nonlinear(values, self.potential, self.params,
                                     self.dt if join else half)
-
-
-def step_kinetic_rotation_axis1(psi: WaveField, dt: float) -> WaveField:
-    """Exact substep K1 over dt (plus the z-kinetic factor in 3d)."""
-    mult = _k1_multiplier(psi.grid, psi.params, dt)
-    out = _kinetic(psi.values, mult, _K1_AXES[psi.grid.dim])
-    return WaveField(out, psi.t + dt, psi.grid, psi.params)
-
-
-def step_kinetic_rotation_axis2(psi: WaveField, dt: float) -> WaveField:
-    """Exact substep K2 over dt."""
-    out = _kinetic(psi.values, _k2_multiplier(psi.grid, psi.params, dt), (1,))
-    return WaveField(out, psi.t + dt, psi.grid, psi.params)
-
-
-def step_potential_nonlinear(psi: WaveField, dt: float) -> WaveField:
-    """Pointwise phase substep; |psi| is exactly invariant."""
-    out = _potential_nonlinear(psi.values, potential_grid(psi.grid, psi.params.omega),
-                               psi.params, dt)
-    return WaveField(out, psi.t + dt, psi.grid, psi.params)
-
-
-def strang_step(psi: WaveField, dt: float) -> WaveField:
-    plan = SplitStepPlan(psi.grid, psi.params, dt)
-    return WaveField(plan.step(psi.values), psi.t + dt, psi.grid, psi.params)
 
 
 def evolve_nls(psi0: WaveField, T: float, dt: float,

@@ -21,8 +21,9 @@ term and a local nonlinearity, so only the trap torque
 x_perp . grad V moves m, at every eps and every Omega.  Its coefficient
 is omega1^2 - omega2^2; the deformation-scaled prefactor sometimes
 quoted for it is dimensionally inconsistent.  For isotropic traps the
-system closes: m is conserved and X breathes at 2 omega whatever Omega
-is; isotropic_closed_form evaluates the solution.
+system closes and is linear: m is conserved and X breathes at 2 omega
+whatever Omega is.  isotropic_closed_form is its exact solution, and
+moment_ode_rhs gives the rates.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (GridSpec, SimParams, WaveField, current_from_gradient, integrate,
-                   potential_grid, spectral_gradient, time_grid)
+                   potential_grid, spectral_gradient)
 from .hydro import HydroState, WKBState
 
 CSV_HEADER = "t,mass,energy,m_eps,n,X,xy"
@@ -202,17 +203,6 @@ def records_to_csv(records: Sequence[ObservableRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def records_from_csv(text: str) -> list[ObservableRecord]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"bad observables CSV header: {lines[0] if lines else ''!r}")
-    out = []
-    for ln in lines[1:]:
-        t, m, e, me, n, Xm, xy = (float(tok) for tok in ln.split(","))
-        out.append(ObservableRecord(t, m, e, me, n, Xm, xy))
-    return out
-
-
 # ---------- moment ODE system ----------
 
 @dataclass(frozen=True)
@@ -259,33 +249,6 @@ def moment_ode_rhs(m: float, n: float, X: float, xy: float,
     mdot = (p.omega[0] ** 2 - p.omega[1] ** 2) * xy
     ndot = 2.0 * (p.E0 - p.Omega * m) - 2.0 * weighted_x2
     return mdot, ndot
-
-
-def integrate_isotropic_moments(p: MomentODEParams, T: float, dt: float = 5e-4):
-    """RK4 the closed isotropic (m, n, X) system; returns (t, m, n, X) arrays."""
-    if not p.isotropic:
-        raise ValueError("the moment system closes only for isotropic traps")
-    w2 = p.omega[0] ** 2
-
-    def rhs(y):
-        m, n, X = y
-        return np.array([0.0,
-                         2.0 * (p.E0 - p.Omega * m) - 2.0 * w2 * X,
-                         2.0 * n])
-
-    n_steps, h = time_grid(T, dt)
-    y = np.array([p.m0, p.n0, p.X0], dtype=float)
-    out = np.empty((n_steps + 1, 3))
-    ts = np.linspace(0.0, T, n_steps + 1)
-    out[0] = y
-    for i in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[i] = y
-    return ts, out[:, 0], out[:, 1], out[:, 2]
 
 
 def isotropic_closed_form(t, p: MomentODEParams):

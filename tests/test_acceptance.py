@@ -21,7 +21,7 @@ from rotorwkb.hydro import (WKBState, circulation, evolve_hydro, evolve_wkb,
 from rotorwkb.nls import evolve_nls
 from rotorwkb.observables import (MomentODEParams, am_relation_residual,
                                   angular_momentum, dominant_frequency,
-                                  integrate_isotropic_moments, mass,
+                                  isotropic_closed_form, mass,
                                   record_from_wavefield)
 from rotorwkb.rays import (QuadraticPhase, Ray, integrate_rays,
                            quadratic_phase_evolve)
@@ -192,10 +192,11 @@ def test_A8_isotropic_rotating_angular_momentum_scalings():
     # The moment dynamics of an off-centre cloud in an isotropic rotating
     # trap: X breathes at 2 omega whatever Omega is, (m, n, X) follow the
     # closed moment system, and m_eps is conserved at every eps.  The
-    # moment bookkeeping is itself cross-checked in test_observables
-    # (ODE vs closed form, torque identity, isotropic conservation), so
-    # the verdicts below reflect the measured dynamics.  The grid spacing
-    # scales with eps so that each run resolves its own spectrum.
+    # moment bookkeeping is itself cross-checked in test_observables (the
+    # closed form solves the moment rates, torque identity, isotropic
+    # conservation), so the verdicts below reflect the measured dynamics.
+    # The grid spacing scales with eps so that each run resolves its own
+    # spectrum.
     sim8, recs8 = _offcenter_rotating_records(0.125, 256)
     times8 = np.array([r.t for r in recs8])
     series8 = {k: np.array([getattr(r, k) for r in recs8])
@@ -207,9 +208,8 @@ def test_A8_isotropic_rotating_angular_momentum_scalings():
     ok_freq = freq_dev < 0.02
 
     p8 = MomentODEParams.from_record(recs8[0], sim8)
-    ts, m_ode, n_ode, X_ode = integrate_isotropic_moments(p8, 10.0, dt=1e-3)
-    gaps = {k: float(np.max(np.abs(series8[k] - np.interp(times8, ts, ode))))
-            for k, ode in (("m_eps", m_ode), ("n", n_ode), ("X", X_ode))}
+    closed = dict(zip(("m_eps", "n", "X"), isotropic_closed_form(times8, p8)))
+    gaps = {k: float(np.max(np.abs(series8[k] - closed[k]))) for k in closed}
     gap_limit = 2.0 * sim8.eps
     ok_ode = all(g <= gap_limit for g in gaps.values())
 

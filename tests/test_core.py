@@ -99,7 +99,6 @@ def test_time_grid_never_steps_past_dt():
     from rotorwkb.core import time_grid
     from rotorwkb.hydro import WKBState, evolve_wkb
     from rotorwkb.nls import evolve_nls
-    from rotorwkb.observables import MomentODEParams, integrate_isotropic_moments
     from rotorwkb.rays import QuadraticPhase, Ray, integrate_ray
 
     dt = 0.01
@@ -126,11 +125,6 @@ def test_time_grid_never_steps_past_dt():
     evolve_nls(WaveField(make_gaussian(grid), 0.0, grid, params), T=3.4 * dt, dt=dt,
                observer=lambda t, s: times.append(t))
     assert len(times) == 5 and np.diff(times).max() <= dt
-
-    moments = MomentODEParams(Omega=0.5, omega=(1.0, 1.0), E0=1.0, m0=0.2,
-                              n0=0.0, X0=0.5)
-    ts = integrate_isotropic_moments(moments, T=3.4 * dt, dt=dt)[0]
-    assert len(ts) == 5 and np.diff(ts).max() <= dt
 
 
 @pytest.mark.parametrize("stride", [0, -2])

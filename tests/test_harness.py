@@ -484,6 +484,21 @@ def test_cli_observables_rejects_limit_snapshots(tmp_path, capsys):
     assert str(bad) in capsys.readouterr().err
 
 
+def test_cli_observables_rejects_a_snapshot_of_another_dimension(tmp_path, capsys):
+    # a 3d field under a 2d config, and a 2d field under a 3d config
+    path2 = write_cfg(tmp_path / "run.cfg", tmp_path / "o")
+    path3 = tmp_path / "run3d.cfg"
+    path3.write_text("[sim]\nomega = 1 1 1\n[grid]\npoints = 8\nhalf_extent = 4\n",
+                     encoding="utf-8")
+    for cfg, dim in ((path2, 3), (str(path3), 2)):
+        grid = GridSpec.square(8, 4.0, dim=dim)
+        snap = tmp_path / f"field{dim}d.rsfw"
+        save_field(snap, np.ones(grid.shape, complex), grid, 0.25, 0.0)
+        assert cli.main(["observables", cfg, str(snap)]) == 2
+        err = capsys.readouterr().err
+        assert str(snap) in err and "[sim].omega" in err
+
+
 def test_cli_rejects_unknown_subcommands(tmp_path, capsys):
     assert cli.main(["frobnicate"]) == 2
     capsys.readouterr()

@@ -22,7 +22,6 @@ from rotorwkb import (
     QuadraticPhase,
     SimParams,
     WKBState,
-    accumulate_phi,
     assemble_matrices,
     cfl_limits,
     circulation,
@@ -37,6 +36,22 @@ from rotorwkb import (
     wkb_assemble,
 )
 from rotorwkb.hydro import d1, d2, drift_fields
+
+
+def accumulate_phi(states):
+    """Rebuild phi at the last stored time by the trapezoid rule on the
+    phase rate of rhs_wkb, a route independent of the phi the march
+    carries in-state."""
+    if len(states) < 2:
+        raise ValueError("need at least two stored states")
+    phi = np.array(states[0].phi)
+    prev_rate = rhs_wkb(states[0])[3]
+    prev_t = states[0].t
+    for st in states[1:]:
+        rate = rhs_wkb(st)[3]
+        phi = phi + 0.5 * (st.t - prev_t) * (prev_rate + rate)
+        prev_rate, prev_t = rate, st.t
+    return phi
 
 
 # ---------- stencils ----------
@@ -208,6 +223,31 @@ def test_drift_fields_are_built_per_sample_on_wkb_and_once_on_hydro(monkeypatch)
     evolve_hydro(HydroState(a0**2, np.zeros((2,) + grid.shape), 0.0, grid, params),
                  T=n * dt, dt=dt)
     assert len(builds) == 2
+
+
+def test_phase_rate_is_formed_on_the_wkb_route_only(monkeypatch):
+    # one phase rate per RK4 stage of evolve_wkb; the limit route
+    # carries no phi and never forms one
+    import rotorwkb.hydro as hydro
+
+    calls = []
+    real = hydro._phase_rate
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(hydro, "_phase_rate", counting)
+    grid = GridSpec.square(16, 4.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
+    a0 = make_gaussian(grid)
+    n, dt = 5, 0.01
+    evolve_wkb(WKBState.from_amplitude(a0, grid, params), T=n * dt, dt=dt)
+    assert len(calls) == 4 * n
+    calls.clear()
+    evolve_hydro(HydroState(a0**2, np.zeros((2,) + grid.shape), 0.0, grid, params),
+                 T=n * dt, dt=dt)
+    assert calls == []
 
 
 def test_uniform_state_is_a_fixed_point_with_linear_phase_drop():

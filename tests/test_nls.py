@@ -22,12 +22,38 @@ from rotorwkb import (
     make_gaussian,
     mass,
     potential_grid,
-    step_kinetic_rotation_axis1,
-    step_kinetic_rotation_axis2,
-    step_potential_nonlinear,
-    strang_step,
     wkb_assemble,
 )
+
+
+# The substeps as the march runs them, one WaveField in and one out.
+
+def _advance(psi, values, dt):
+    return WaveField(values, psi.t + dt, psi.grid, psi.params)
+
+
+def step_kinetic_rotation_axis1(psi, dt):
+    """Exact substep K1 over dt (plus the z-kinetic factor in 3d)."""
+    mult = nls._k1_multiplier(psi.grid, psi.params, dt)
+    return _advance(psi, nls._kinetic(psi.values, mult, nls._K1_AXES[psi.grid.dim]), dt)
+
+
+def step_kinetic_rotation_axis2(psi, dt):
+    """Exact substep K2 over dt."""
+    mult = nls._k2_multiplier(psi.grid, psi.params, dt)
+    return _advance(psi, nls._kinetic(psi.values, mult, (1,)), dt)
+
+
+def step_potential_nonlinear(psi, dt):
+    """Pointwise phase substep P over dt."""
+    V = potential_grid(psi.grid, psi.params.omega)
+    return _advance(psi, nls._potential_nonlinear(psi.values, V, psi.params, dt), dt)
+
+
+def strang_step(psi, dt):
+    """One Strang palindrome, by the plan the march builds."""
+    plan = nls.SplitStepPlan(psi.grid, psi.params, dt)
+    return _advance(psi, plan.step(psi.values), dt)
 
 
 def _plane_wave(grid, k1, k2, params):

@@ -32,7 +32,6 @@ from rotorwkb import (
     energy,
     evolve_nls,
     integrate,
-    integrate_isotropic_moments,
     isotropic_closed_form,
     limit_angular_momentum,
     make_gaussian,
@@ -44,11 +43,19 @@ from rotorwkb import (
     record_from_hydro,
     record_from_wavefield,
     record_from_wkb,
-    records_from_csv,
     records_to_csv,
     wkb_assemble,
 )
 from rotorwkb.observables import CSV_HEADER, moments_density
+
+
+def records_from_csv(text):
+    """Parse a table written by records_to_csv back into records."""
+    lines = [ln for ln in text.strip().splitlines() if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"bad observables CSV header: {lines[0] if lines else ''!r}")
+    return [ObservableRecord(*(float(tok) for tok in ln.split(",")))
+            for ln in lines[1:]]
 
 
 def _gauss_density(grid, center=(0.0, 0.0)):
@@ -237,20 +244,25 @@ def test_moment_ode_rhs_hand_values():
         moment_ode_rhs(0.0, 0.0, 1.0, 0.0, q)
 
 
-def test_isotropic_closed_form_matches_rk4():
+def test_isotropic_closed_form_solves_the_moment_system():
+    ts = np.linspace(0.0, 10.0, 20001)
+    h = ts[1] - ts[0]
     for Omega, w in ((1.0, 1.0), (2.5, 1.5)):
         p = MomentODEParams(Omega=Omega, omega=(w, w), E0=1.3, m0=0.2,
                             n0=0.4, X0=2.0)
-        ts, m, n, X = integrate_isotropic_moments(p, T=10.0)
-        m_cf, n_cf, X_cf = isotropic_closed_form(ts, p)
-        np.testing.assert_allclose(m, m_cf, atol=1e-9)
-        np.testing.assert_allclose(n, n_cf, atol=1e-9)
-        np.testing.assert_allclose(X, X_cf, atol=1e-9)
+        m, n, X = isotropic_closed_form(ts, p)
+        assert (m[0], n[0]) == (0.2, 0.4)
+        assert X[0] == pytest.approx(2.0, abs=1e-14)
+        # central differences against the rates; their error, h^2/6 times
+        # the third derivative, stays below 3e-6 for these cases
+        mdot, ndot = moment_ode_rhs(m[1:-1], n[1:-1], X[1:-1], 0.0, p)
+        for y, rate in ((m, mdot), (n, ndot), (X, 2.0 * n[1:-1])):
+            np.testing.assert_allclose((y[2:] - y[:-2]) / (2.0 * h), rate,
+                                       rtol=0, atol=1e-5)
         # X breathes at 2 omega, whatever the rotation rate
         assert dominant_frequency(ts, X) == pytest.approx(2.0 * w, rel=1e-3)
     with pytest.raises(ValueError, match="isotropic"):
-        integrate_isotropic_moments(
-            MomentODEParams(1.0, (2.0, 1.0), 1.0, 0.0, 0.0, 1.0), T=1.0)
+        isotropic_closed_form(ts, MomentODEParams(1.0, (2.0, 1.0), 1.0, 0.0, 0.0, 1.0))
 
 
 def test_am_relation_residual_conventions():
