@@ -30,11 +30,21 @@ exactly; the dispersive coupling is symmetric and cancels too.  A
 multiplicative sponge over the outer tenth of each axis relaxes
 (alpha, beta, v) toward their initial far-field values to absorb
 box-truncation artifacts.
+
+The march's right-hand side makes few passes over memory: each
+differentiated field (alpha, beta, each v_i, f(rho), each product
+adv_j u) is copied once into a buffer with 2 periodic ghost layers per
+axis, and D1 and D2 along every axis read shifted views of that copy,
+with 1/(12 h) folded into the stencil weights.  d1, d2, laplacian and
+gradient are the same stencils in np.roll form, the reference the tests
+compare against.  The march allocates its grid arrays once, runs
+low-storage RK4 with the classical accumulation order, and stops before
+a step that exceeds the advective bound 0.5 dx / max|v + w|.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -183,9 +193,10 @@ def _affine_field(b, M, coords) -> list[np.ndarray]:
     or the coordinates of one point."""
     out = []
     for i in range(len(coords)):
-        ui = np.full(np.shape(coords[0]), b[i])
-        for j, X in enumerate(coords):
-            ui = ui + M[i, j] * X
+        ui = np.multiply(M[i, 0], coords[0])
+        ui += b[i]
+        for j in range(1, len(coords)):
+            ui += M[i, j] * coords[j]
         out.append(ui)
     return out
 
@@ -200,67 +211,166 @@ def drift_fields(drift: QuadraticPhase, grid: GridSpec, params: SimParams):
 
 # ---------- semi-discrete right-hand side ----------
 
-def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
-                eps: float):
-    """Rates for (alpha, beta, v) given the drift fields, and f(rho).
+class _Wrapped:
+    """A grid array with 2 periodic ghost layers per axis.
 
-    The amplitude advection is in split (skew-symmetric) form.  f(rho)
-    is handed out for _phase_rate, so the WKB route reads it without a
-    second pass and the limit route never forms the phase rate.
+    shifts[axis] are the views u(+1), u(-1), u(+2), u(-2) along one axis,
+    the operands of the stencils; the corners are never read, so they
+    are never filled.
     """
-    dim = grid.dim
-    h = grid.spacing
-    adv = [v[j] + w[j] for j in range(dim)]
 
-    def advect_split(u):
-        out = np.zeros_like(u)
-        for j in range(dim):
-            out += adv[j] * d1(u, j, h[j]) + d1(adv[j] * u, j, h[j])
-        return 0.5 * out
+    def __init__(self, shape: tuple[int, ...]):
+        buf = np.empty(tuple(n + 4 for n in shape))
+        core = tuple(slice(2, n + 2) for n in shape)
+        self.inner = buf[core]
 
-    dalpha = -advect_split(alpha)
-    dbeta = -advect_split(beta)
-    if eps > 0:
-        dalpha -= (0.5 * eps) * laplacian(beta, grid)
-        dbeta += (0.5 * eps) * laplacian(alpha, grid)
+        def along(axis, lo, hi):
+            return buf[core[:axis] + (slice(lo, hi),) + core[axis + 1:]]
 
-    rho = alpha * alpha + beta * beta
+        self.shifts = [tuple(along(a, 2 + s, n + 2 + s) for s in (1, -1, 2, -2))
+                       for a, n in enumerate(shape)]
+        self.ghosts = [((along(a, 0, 2), along(a, n, n + 2)),
+                        (along(a, n + 2, n + 4), along(a, 2, 4)))
+                       for a, n in enumerate(shape)]
+
+    def fill(self, axes):
+        for a in axes:
+            for ghost, source in self.ghosts[a]:
+                ghost[...] = source
+
+    def load(self, u: np.ndarray):
+        self.inner[...] = u
+        self.fill(range(u.ndim))
+
+
+class _Workspace:
+    """The grid buffers a march hands to every right-hand side.
+
+    field holds the wrapped copy of the field being differentiated and
+    product that of one advective product adv_j u.  adv = v + w is left
+    in place after each call, so the march reads its speed from it.
+    """
+
+    def __init__(self, grid: GridSpec):
+        shape = grid.shape
+        self.field = _Wrapped(shape)
+        self.product = _Wrapped(shape)
+        self.adv = np.empty((grid.dim,) + shape)
+        self.rho = np.empty(shape)
+        self.tmp = np.empty(shape)
+        self.tmp2 = np.empty(shape)
+        # the stencils' 1/(12 h) and 1/(12 h^2), folded into their weights
+        self.c1 = [1.0 / (12.0 * h) for h in grid.spacing]
+        self.c2 = [1.0 / (12.0 * h * h) for h in grid.spacing]
+
+
+def _d1(out, shifts, c, tmp):
+    """out = c (8 (u(+1) - u(-1)) - (u(+2) - u(-2))): 12 h c times D1 u."""
+    p1, m1, p2, m2 = shifts
+    np.subtract(p1, m1, out=out)
+    out *= 8.0 * c
+    np.subtract(p2, m2, out=tmp)
+    tmp *= c
+    out -= tmp
+
+
+def _add_d1(acc, shifts, c, tmp):
+    """acc += c (8 (u(+1) - u(-1)) - (u(+2) - u(-2)))."""
+    p1, m1, p2, m2 = shifts
+    np.subtract(p1, m1, out=tmp)
+    tmp *= 8.0 * c
+    acc += tmp
+    np.subtract(p2, m2, out=tmp)
+    tmp *= c
+    acc -= tmp
+
+
+def _add_d2(acc, shifts, c, tmp):
+    """acc += c (16 (u(+1) + u(-1)) - (u(+2) + u(-2))): the off-center
+    part of 12 h^2 c times D2 u; the center weight -30 c is added per
+    Laplacian, once for all axes."""
+    p1, m1, p2, m2 = shifts
+    np.add(p1, m1, out=tmp)
+    tmp *= 16.0 * c
+    acc += tmp
+    np.add(p2, m2, out=tmp)
+    tmp *= c
+    acc -= tmp
+
+
+def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
+                eps: float, out, work: _Workspace):
+    """Write the rates of (alpha, beta, v) into out[:3]; return f(rho).
+
+    The amplitude advection is in split (skew-symmetric) form.  Each
+    differentiated field is wrapped once, and D1 and D2 along every axis
+    read shifts of that one copy.  f(rho) is handed out for
+    _phase_rate, so the WKB route reads it without a second pass and
+    the limit route never forms the phase rate.
+    """
+    dalpha, dbeta, dv = out[:3]
+    adv, tmp, tmp2, c1 = work.adv, work.tmp, work.tmp2, work.c1
+    field, product = work.field, work.product
+    for j in range(grid.dim):
+        np.add(v[j], w[j], out=adv[j])
+
+    # d_t a = -(1/2)[adv . D1 a + D1 . (a adv)] + (i eps / 2) Lap a
+    dalpha.fill(0.0)
+    dbeta.fill(0.0)
+    for u, rate, other, half_eps in ((alpha, dalpha, dbeta, 0.5 * eps),
+                                     (beta, dbeta, dalpha, -0.5 * eps)):
+        field.load(u)
+        for j in range(grid.dim):
+            _d1(tmp, field.shifts[j], -0.5 * c1[j], tmp2)
+            tmp *= adv[j]
+            rate += tmp
+            np.multiply(adv[j], u, out=product.inner)
+            product.fill((j,))
+            _add_d1(rate, product.shifts[j], -0.5 * c1[j], tmp)
+        if eps > 0:
+            for j in range(grid.dim):
+                _add_d2(other, field.shifts[j], half_eps * work.c2[j], tmp)
+            np.multiply(u, 30.0 * half_eps * sum(work.c2), out=tmp)
+            other -= tmp
+
+    # d_t v = -(adv . D1 v + coupling v + D1 f(rho))
+    rho = np.multiply(alpha, alpha, out=work.rho)
+    rho += np.multiply(beta, beta, out=tmp)
     f_rho = params.nonlinearity.f(rho)
-    grad_f = gradient(f_rho, grid)
-
-    dv = np.empty_like(v)
-    for i in range(dim):
-        acc = np.zeros(grid.shape)
-        for j in range(dim):
-            acc += adv[j] * d1(v[i], j, h[j])
+    field.load(f_rho)
+    for i in range(grid.dim):
+        _d1(dv[i], field.shifts[i], -c1[i], tmp)
+    for i in range(grid.dim):
+        field.load(v[i])
+        for j in range(grid.dim):
+            _d1(tmp, field.shifts[j], -c1[j], tmp2)
+            tmp *= adv[j]
+            dv[i] += tmp
             if coupling[i, j] != 0.0:
-                acc += coupling[i, j] * v[j]
-        acc += grad_f[i]
-        dv[i] = -acc
-    return dalpha, dbeta, dv, f_rho
+                dv[i] -= np.multiply(v[j], coupling[i, j], out=tmp)
+    return f_rho
 
 
-def _phase_rate(v, w, f_rho):
-    """d_t phi = -(w . v + |v|^2/2 + f(rho))."""
-    wv = np.zeros(f_rho.shape)
-    v2 = np.zeros(f_rho.shape)
+def _phase_rate(v, w, f_rho, *, out, work: _Workspace):
+    """Write d_t phi = -(w . v + |v|^2/2 + f(rho)) into out."""
+    tmp = work.tmp
+    np.negative(f_rho, out=out)
     for j in range(len(w)):
-        wv += w[j] * v[j]
-        v2 += v[j] * v[j]
-    # in place, the same bits as -(wv + 0.5 v2 + f_rho) without temporaries
-    v2 *= 0.5
-    wv += v2
-    wv += f_rho
-    return np.negative(wv, out=wv)
+        np.multiply(v[j], 0.5, out=tmp)
+        tmp += w[j]
+        tmp *= v[j]
+        out -= tmp
 
 
 def rhs_wkb(state: WKBState):
     """Time derivative of (alpha, beta, v, phi) at the state's drift and eps."""
     w, coupling = drift_fields(state.drift, state.grid, state.params)
-    v = np.array(state.v)
-    dalpha, dbeta, dv, f_rho = _fields_rhs(state.alpha, state.beta, v, w, coupling,
-                                           state.grid, state.params, state.eps)
-    return dalpha, dbeta, dv, _phase_rate(v, w, f_rho)
+    work = _Workspace(state.grid)
+    out = [np.empty_like(u) for u in (state.alpha, state.beta, state.v, state.phi)]
+    f_rho = _fields_rhs(state.alpha, state.beta, state.v, w, coupling, state.grid,
+                        state.params, state.eps, out, work)
+    _phase_rate(state.v, w, f_rho, out=out[3], work=work)
+    return tuple(out)
 
 
 # ---------- hyperbolic structure ----------
@@ -335,72 +445,109 @@ def _sponge_profile(grid: GridSpec, strength: float) -> np.ndarray:
     return strength * sigma
 
 
+def _advective_bound(adv, grid: GridSpec, speed2=None, square=None) -> float:
+    """0.5 dx / max|adv|, the advective step bound of the speed field adv;
+    speed2 and square are optional buffers of the grid's shape."""
+    speed2 = np.multiply(adv[0], adv[0], out=speed2)
+    for a in adv[1:]:
+        speed2 += np.multiply(a, a, out=square)
+    vmax = float(np.sqrt(speed2.max()))
+    return 0.5 * min(grid.spacing) / vmax if vmax > 0 else np.inf
+
+
 def cfl_limits(state: WKBState) -> tuple[float, float]:
     """Advective and dispersive step bounds 0.5 dx/max|v+w|, 0.2 dx^2/eps,
     with eps the state's (no dispersive bound at eps = 0)."""
     w, _ = drift_fields(state.drift, state.grid, state.params)
-    speed2 = np.zeros(state.grid.shape)
-    for j in range(state.grid.dim):
-        speed2 += (state.v[j] + w[j]) ** 2
-    vmax = float(np.sqrt(speed2.max()))
+    adv = _advective_bound([v + wj for v, wj in zip(state.v, w)], state.grid)
     dx = min(state.grid.spacing)
-    adv = 0.5 * dx / vmax if vmax > 0 else np.inf
     disp = 0.2 * dx * dx / state.eps if state.eps > 0 else np.inf
     return adv, disp
+
+
+def _stage(stage, y, c, k):
+    """stage = y + c k for the fields that have a stage (phi has none)."""
+    for s, u, r in zip(stage, y, k):
+        np.multiply(r, c, out=s)
+        s += u
 
 
 def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
            h: float, observer, observer_stride, sponge_strength):
     """The RK4 loop of the WKB and limit-hydro systems.
 
-    fields are the caller's RK4 fields, (alpha, beta, v) first.  Only
-    those three get stage values, and the sponge relaxes them toward
-    their start.  rates(alpha, beta, v, drift_fields) gives one rate per
-    field, and sample(k) the drift fields at half step k: evolve_wkb
-    samples its exact drift path there, evolve_hydro hands back the
-    fields it built once.  Stages 2 and 3 share the midpoint sample.  The
-    endpoint sample is taken again at the next step's stage 1: keeping it
-    across the step raised the peak memory of a 256^2 march by about
-    1 MB.  make_state(fields, step, t) wraps the fields for the observer
-    and for the return.
+    fields are the caller's RK4 fields, (alpha, beta, v) first, frozen
+    state arrays that the march copies and never writes.  Only alpha,
+    beta and v get stage values, as no rate reads phi, and the sponge
+    relaxes them toward fields, their start.  rates(alpha, beta, v,
+    drift_fields, out, work) writes one rate per field into out, using
+    the march's workspace; sample(k) gives the drift fields at half step
+    k: evolve_wkb samples its exact drift path there, evolve_hydro hands
+    back the fields it built once.  Stages 2 and 3 share the midpoint
+    sample.  The endpoint sample is built again as the next step's
+    start: carried across the step, it would stay alive through the
+    observer call, which sets the march's peak memory.
+
+    The march allocates its grid arrays once and steps them in place.
+    RK4 is low-storage: one stage's rates are live at a time, and acc
+    sums them as k1 + 2 k2 + 2 k3 + k4 in that order, the bits of the
+    four-rate form.  Stage 1 leaves v + w in the workspace; the march
+    raises NumericalAbort before a step whose h exceeds the advective
+    bound 0.5 dx / max|v + w| read there.  make_state(fields, step, t)
+    copies the fields into a state for the observer and for the return.
     """
     if observer_stride < 1:
         raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
-    fields = [np.array(u) for u in fields]
+    y = [np.array(u) for u in fields]
+    acc = [np.empty_like(u) for u in y]
+    k = [np.empty_like(u) for u in y]
+    stage = [np.empty_like(u) for u in y[:3]]
+    work = _Workspace(grid)
     damp = np.exp(-_sponge_profile(grid, sponge_strength) * h)
-    ref = [u.copy() for u in fields[:3]]
 
     t = 0.0
     if observer is not None:
-        observer(t, make_state(fields, 0, t))
+        observer(t, make_state(y, 0, t))
 
     for step in range(1, n_steps + 1):
         k0 = 2 * (step - 1)
         # a genuine blowup is reported via NumericalAbort, not warning spam
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = rates(*fields[:3], sample(k0))
+            rates(*y[:3], sample(k0), acc, work)
+            bound = _advective_bound(work.adv, grid, work.tmp, work.tmp2)
+            if h > bound:
+                raise NumericalAbort(
+                    f"dt = {h:.6g} exceeds the advective step bound {bound:.6g} "
+                    f"= 0.5 dx / max|v + w| in step {step} (t = {t:.6g})", step, t)
             mid = sample(k0 + 1)
-            k2 = rates(*[u + 0.5 * h * k for u, k in zip(fields[:3], k1)], mid)
-            k3 = rates(*[u + 0.5 * h * k for u, k in zip(fields[:3], k2)], mid)
+            _stage(stage, y, 0.5 * h, acc)
+            for c in (0.5 * h, h):
+                rates(*stage, mid, k, work)
+                _stage(stage, y, c, k)
+                for a, r in zip(acc, k):
+                    r *= 2.0
+                    a += r
             del mid
-            k4 = rates(*[u + h * k for u, k in zip(fields[:3], k3)], sample(k0 + 2))
-
-            for i in range(len(fields)):
-                fields[i] = fields[i] + (h / 6.0) * (
-                    k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
+            rates(*stage, sample(k0 + 2), k, work)
+            for u, a, r in zip(y, acc, k):
+                a += r
+                a *= h / 6.0
+                u += a
             if sponge_strength > 0:
-                for i in range(3):
-                    fields[i] = ref[i] + (fields[i] - ref[i]) * damp
+                for u, u0 in zip(y[:3], fields):
+                    u -= u0
+                    u *= damp
+                    u += u0
 
         t = step * h
-        if not all(np.isfinite(u).all() for u in fields[:3]):
+        if not all(np.isfinite(u).all() for u in y[:3]):
             raise NumericalAbort(
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
         if observer is not None and (step % observer_stride == 0 or step == n_steps):
-            observer(t, make_state(fields, step, t))
+            observer(t, make_state(y, step, t))
 
-    del k1, k2, k3, k4
-    return make_state(fields, n_steps, t)
+    del acc, k, stage, work
+    return make_state(y, n_steps, t)
 
 
 class StepBoundError(ValueError):
@@ -450,11 +597,10 @@ def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
         def drift_at(k):
             return drift
 
-    def rates(al, be, vv, fields):
+    def rates(al, be, vv, fields, out, work):
         w, coupling = fields
-        dalpha, dbeta, dv, f_rho = _fields_rhs(al, be, vv, w, coupling, grid,
-                                               params, eps)
-        return dalpha, dbeta, dv, _phase_rate(vv, w, f_rho)
+        f_rho = _fields_rhs(al, be, vv, w, coupling, grid, params, eps, out, work)
+        _phase_rate(vv, w, f_rho, out=out[3], work=work)
 
     def make_state(fields, step, t):
         return WKBState(*fields, drift_at(2 * step), eps, state0.t + t, grid, params)
@@ -493,10 +639,9 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     dt = _resolve_dt(shadow, T, dt, "evolve_hydro")
     fixed = drift_fields(shadow.drift, grid, params)
 
-    def rates(al, be, vv, fields):
-        dalpha, dbeta, dv, _ = _fields_rhs(al, be, vv, *fields, grid, params, 0.0)
-        dv -= force
-        return dalpha, dbeta, dv
+    def rates(al, be, vv, fields, out, work):
+        _fields_rhs(al, be, vv, *fields, grid, params, 0.0, out, work)
+        out[2] -= force
 
     def make_state(fields, step, t):
         al, be, vv = fields

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, serialize
-from .core import (GridSpec, WaveField, boundary_max, integrate,
-                   make_gaussian, make_vortex_init, sobolev_norm,
-                   spectral_gradient, wkb_assemble)
+from .core import (WaveField, boundary_max, integrate, make_gaussian,
+                   make_vortex_init, sobolev_norm, spectral_gradient,
+                   wkb_assemble)
 from .hydro import HydroState, StepBoundError, WKBState, evolve_hydro, evolve_wkb
 from .nls import evolve_nls
 from .observables import (ObservableRecord, probability_current,

@@ -412,6 +412,16 @@ def test_cli_maps_numerical_aborts_to_exit_3(tmp_path, capsys):
     path = write_cfg(tmp_path / "focus.cfg", tmp_path / "f", "T = 2.0\n")
     assert cli.main(["run-wkb", path]) == 3
     assert "caustic" in capsys.readouterr().err
+    # the same focusing drift before its caustic: a fixed step that passed
+    # the start-up check meets the growing drift speed mid-run
+    path = tmp_path / "bound.cfg"
+    path.write_text("[grid]\npoints = 32 32\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\noutdir = {tmp_path / 'b'}\nT = 1.4\ndt = 0.01\n",
+                    encoding="utf-8")
+    assert cli.main(["run-wkb", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical abort:")
+    assert "advective step bound" in err and "step 116 (t = 1.15)" in err
 
 
 def test_cli_sweep_prints_slopes_and_validates_eps(tmp_path, capsys):

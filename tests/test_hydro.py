@@ -33,9 +33,32 @@ from rotorwkb import (
     make_gaussian,
     make_vortex_init,
     rhs_wkb,
-    wkb_assemble,
 )
-from rotorwkb.hydro import d1, d2, drift_fields
+from rotorwkb.core import potential_gradient
+from rotorwkb.hydro import d1, d2, drift_fields, gradient, laplacian
+
+
+def reference_rates(alpha, beta, v, drift, grid, params, eps):
+    """The rates of (alpha, beta, v, phi) term by term from the public
+    np.roll stencils d1, gradient and laplacian."""
+    dim, h = grid.dim, grid.spacing
+    w, coupling = drift_fields(drift, grid, params)
+    adv = [v[j] + w[j] for j in range(dim)]
+
+    def advect_split(u):
+        return 0.5 * sum(adv[j] * d1(u, j, h[j]) + d1(adv[j] * u, j, h[j])
+                         for j in range(dim))
+
+    dalpha = -advect_split(alpha) - 0.5 * eps * laplacian(beta, grid)
+    dbeta = -advect_split(beta) + 0.5 * eps * laplacian(alpha, grid)
+    f_rho = params.nonlinearity.f(alpha * alpha + beta * beta)
+    grad_f = gradient(f_rho, grid)
+    dv = np.array([-(sum(adv[j] * d1(v[i], j, h[j]) + coupling[i, j] * v[j]
+                         for j in range(dim)) + grad_f[i])
+                   for i in range(dim)])
+    dphi = -(sum(w[j] * v[j] for j in range(dim))
+             + 0.5 * sum(v[j] * v[j] for j in range(dim)) + f_rho)
+    return dalpha, dbeta, dv, dphi
 
 
 def accumulate_phi(states):
@@ -233,9 +256,9 @@ def test_phase_rate_is_formed_on_the_wkb_route_only(monkeypatch):
     calls = []
     real = hydro._phase_rate
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(hydro, "_phase_rate", counting)
     grid = GridSpec.square(16, 4.0)
@@ -248,6 +271,111 @@ def test_phase_rate_is_formed_on_the_wkb_route_only(monkeypatch):
     evolve_hydro(HydroState(a0**2, np.zeros((2,) + grid.shape), 0.0, grid, params),
                  T=n * dt, dt=dt)
     assert calls == []
+
+
+@pytest.mark.parametrize("dim, eps", [(2, 0.25), (2, 0.0), (3, 0.25), (3, 0.0)])
+def test_rhs_matches_the_reference_stencils_term_by_term(dim, eps):
+    # random periodic data, a rotating frame and a non-diagonal drift, so
+    # every term of every rate carries weight: dropping any one of them
+    # moves its rate by far more than roundoff
+    rng = np.random.default_rng(dim * 10 + int(eps > 0))
+    grid = GridSpec.square(16 if dim == 2 else 8, 2.0, dim=dim)
+    params = SimParams(eps=0.25, Omega=0.7, omega=(1.2, 0.8, 1.0)[:dim])
+    raw = rng.standard_normal((dim, dim))
+    drift = QuadraticPhase(0.5 * (raw + raw.T), rng.standard_normal(dim))
+    alpha, beta, phi = (rng.standard_normal(grid.shape) for _ in range(3))
+    v = rng.standard_normal((dim,) + grid.shape)
+    state = WKBState(alpha, beta, v, phi, drift, eps, 0.0, grid, params)
+    got = rhs_wkb(state)
+    want = reference_rates(alpha, beta, v, drift, grid, params, eps)
+    for name, g, r in zip(("alpha", "beta", "v", "phi"), got, want):
+        assert g.shape == r.shape
+        gap = np.max(np.abs(g - r))
+        assert gap <= 1e-12 * np.max(np.abs(r)), f"d{name}: gap {gap:.3e}"
+
+
+def test_hydro_step_is_rk4_of_the_reference_rates_with_the_trap_force():
+    # one sponge-free evolve_hydro step against RK4 of the reference
+    # rates at eps = 0, minus the trap force on v, in an anisotropic trap
+    rng = np.random.default_rng(5)
+    grid = GridSpec.square(16, 2.0)
+    params = SimParams(eps=0.25, Omega=0.7, omega=(1.3, 0.6))
+    rho0 = (1.0 + 0.3 * rng.standard_normal(grid.shape)) ** 2
+    v0 = 0.5 * rng.standard_normal((2,) + grid.shape)
+    force = np.moveaxis(potential_gradient(np.stack(grid.meshes, axis=-1),
+                                           params.omega), -1, 0)
+    zero = QuadraticPhase.zero(2)
+
+    def rates(alpha, beta, v):
+        dalpha, dbeta, dv, _ = reference_rates(alpha, beta, v, zero, grid, params, 0.0)
+        return dalpha, dbeta, dv - force
+
+    h = 1e-3
+    y = [np.sqrt(rho0), np.zeros(grid.shape), v0]
+    k1 = rates(*y)
+    k2 = rates(*[u + 0.5 * h * k for u, k in zip(y, k1)])
+    k3 = rates(*[u + 0.5 * h * k for u, k in zip(y, k2)])
+    k4 = rates(*[u + h * k for u, k in zip(y, k3)])
+    alpha, beta, v = [u + (h / 6.0) * (a + 2 * b + 2 * c + d)
+                      for u, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    out = evolve_hydro(HydroState(rho0, v0, 0.0, grid, params), T=h, dt=h,
+                       sponge_strength=0.0)
+    for got, want, start in ((out.rho, alpha * alpha + beta * beta, rho0),
+                             (out.v, v, v0)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want - start))
+
+
+def test_march_aborts_before_a_step_past_the_advective_bound():
+    # a flat phase in the unit trap focuses at pi/2, so the drift speed
+    # grows as tan t; the step passes the start-up check (no drift at
+    # t = 0) and the march stops at the first step whose start state
+    # violates the bound, with the step and time of that state
+    grid = GridSpec.square(32, 4.0)
+    params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
+    state = WKBState.from_amplitude(make_gaussian(grid), grid, params)
+    dt = 0.01
+    seen = []
+    with pytest.raises(NumericalAbort, match="advective step bound") as info:
+        evolve_wkb(state, T=1.4, dt=dt, observer=lambda t, s: seen.append(s))
+    bounds = [cfl_limits(s)[0] for s in seen]
+    assert min(bounds[:-1]) >= dt > bounds[-1]
+    assert info.value.step == len(seen) == 116
+    assert info.value.t == seen[-1].t == pytest.approx(1.15)
+
+
+@pytest.mark.parametrize("route", ["wkb", "hydro"])
+def test_march_buffers_leak_into_no_state_and_no_rerun(route):
+    # the march steps its own buffers in place: a state handed to the
+    # observer must keep its values after the march goes on, and a rerun
+    # after another run must give the same bits
+    grid = GridSpec.square(32, 4.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.2))
+    a0 = make_gaussian(grid, center=(0.5, -0.25))
+    if route == "wkb":
+        drift = QuadraticPhase(np.array([[0.1, 0.05], [0.05, -0.1]]),
+                               np.array([0.2, 0.0]))
+        start = WKBState.from_amplitude(a0, grid, params, drift=drift)
+        other = WKBState.from_amplitude(0.5 * a0, grid, params)
+        march, names = evolve_wkb, ("alpha", "beta", "v", "phi")
+    else:
+        start = HydroState(a0 ** 2, np.zeros((2,) + grid.shape), 0.0, grid, params)
+        other = HydroState(0.25 * a0 ** 2, np.zeros((2,) + grid.shape), 0.0,
+                           grid, params)
+        march, names = evolve_hydro, ("rho", "v")
+
+    kept, copied = [], []
+    first = march(start, T=0.1, dt=0.01, observer=lambda t, s: kept.append(s))
+    march(other, T=0.1, dt=0.01)
+    second = march(start, T=0.1, dt=0.01, observer=lambda t, s: copied.append(
+        (s.t, [np.array(getattr(s, n)) for n in names])))
+    assert len(kept) == len(copied) == 11
+    assert not np.array_equal(kept[0].v, kept[-1].v)
+    for state, (t, arrays) in zip(kept, copied):
+        assert state.t == t
+        for n, a in zip(names, arrays):
+            np.testing.assert_array_equal(getattr(state, n), a)
+    for n in names:
+        np.testing.assert_array_equal(getattr(first, n), getattr(second, n))
 
 
 def test_uniform_state_is_a_fixed_point_with_linear_phase_drop():

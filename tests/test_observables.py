@@ -31,7 +31,6 @@ from rotorwkb import (
     dominant_frequency,
     energy,
     evolve_nls,
-    integrate,
     isotropic_closed_form,
     limit_angular_momentum,
     make_gaussian,
