@@ -155,10 +155,11 @@ def time_grid(T: float, dt: float) -> tuple[int, float]:
     n = ceil(T / dt), so no step is longer than the dt a caller
     validated; a relative slack of 1e-9 keeps T / dt steps when T is a
     multiple of dt up to roundoff (h then exceeds dt by that roundoff
-    at most).  T = 0 gives one step of length 0.
+    at most).  T = 0 gives no step and h = dt, so a caller can still
+    build its step operators.
     """
-    n = max(1, math.ceil(T / dt * (1.0 - 1e-9)))
-    return n, T / n
+    n = math.ceil(T / dt * (1.0 - 1e-9))
+    return n, T / n if n else dt
 
 
 # ---------- grid ----------

@@ -554,12 +554,11 @@ class StepBoundError(ValueError):
     """A supplied dt exceeds the advective or dispersive step bound."""
 
 
-def _resolve_dt(state0, T, dt, context: str):
+def _resolve_dt(state0, dt, context: str):
     adv, disp = cfl_limits(state0)
     if dt is None:
         # half the advective bound leaves headroom for drift growth mid-run
-        dt = min(0.5 * adv, 0.9 * disp, 0.01)
-        return time_grid(T, dt)[1] if T > 0 else dt
+        return min(0.5 * adv, 0.9 * disp, 0.01)
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if dt > adv or dt > disp:
@@ -583,19 +582,13 @@ def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
     """
     if T < 0:
         raise ValueError(f"duration T must be nonnegative, got {T}")
-    dt = _resolve_dt(state0, T, dt, "evolve_wkb")
-    grid, params, eps, drift = state0.grid, state0.params, state0.eps, state0.drift
-    n_steps, h = time_grid(T, dt)
-    if T > 0:
-        path = quadratic_phase_evolve(drift, 0.5 * h, T, params)
-        if path.blown_up:
-            step = (len(path.times) - 1) // 2 + 1
-            raise NumericalAbort(f"the drift phase reaches a caustic in step {step}, "
-                                 f"after t = {path.blowup_time:.6g}", step, path.blowup_time)
-        drift_at = path.at_index
-    else:
-        def drift_at(k):
-            return drift
+    grid, params, eps = state0.grid, state0.params, state0.eps
+    n_steps, h = time_grid(T, _resolve_dt(state0, dt, "evolve_wkb"))
+    path = quadratic_phase_evolve(state0.drift, 0.5 * h, T, params)
+    if path.blown_up:
+        step = (len(path.times) - 1) // 2 + 1
+        raise NumericalAbort(f"the drift phase reaches a caustic in step {step}, "
+                             f"after t = {path.blowup_time:.6g}", step, path.blowup_time)
 
     def rates(al, be, vv, fields, out, work):
         w, coupling = fields
@@ -603,10 +596,11 @@ def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
         _phase_rate(vv, w, f_rho, out=out[3], work=work)
 
     def make_state(fields, step, t):
-        return WKBState(*fields, drift_at(2 * step), eps, state0.t + t, grid, params)
+        return WKBState(*fields, path.at_index(2 * step), eps, state0.t + t, grid,
+                        params)
 
     return _march([state0.alpha, state0.beta, state0.v, state0.phi], rates,
-                  lambda k: drift_fields(drift_at(k), grid, params), make_state,
+                  lambda k: drift_fields(path.at_index(k), grid, params), make_state,
                   grid, n_steps, h, observer, observer_stride, sponge_strength)
 
 
@@ -636,7 +630,7 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     shadow = WKBState(np.sqrt(h0.rho), np.zeros(grid.shape), h0.v,
                       np.zeros(grid.shape), QuadraticPhase.zero(grid.dim), 0.0,
                       h0.t, grid, params)
-    dt = _resolve_dt(shadow, T, dt, "evolve_hydro")
+    dt = _resolve_dt(shadow, dt, "evolve_hydro")
     fixed = drift_fields(shadow.drift, grid, params)
 
     def rates(al, be, vv, fields, out, work):

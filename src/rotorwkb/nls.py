@@ -132,7 +132,7 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     if observer_stride < 1:
         raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
 
-    n_steps, h = time_grid(T, abs(dt)) if T > 0 else (0, abs(dt))
+    n_steps, h = time_grid(T, abs(dt))
     h = h if dt > 0 else -h
     plan = SplitStepPlan(psi0.grid, psi0.params, h)
     values = np.array(psi0.values)

@@ -311,8 +311,7 @@ def _worker_count(n_jobs: int) -> int:
 def _reference_task(cfg: RunConfig) -> tuple[WKBState, float]:
     """The eps = 0 WKB march of the sweep's data: (final state, wall time)."""
     t0 = time.perf_counter()
-    ref = evolve_wkb(build_wkb_state(cfg, eps=0.0), T=cfg.T, dt=cfg.dt,
-                     sponge_strength=cfg.sponge)
+    ref = _evolve_fields(evolve_wkb, build_wkb_state(cfg, eps=0.0), cfg, None)
     return ref, time.perf_counter() - t0
 
 

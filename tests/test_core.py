@@ -97,34 +97,87 @@ def test_nonlinearity_cubic_and_none():
 
 def test_time_grid_never_steps_past_dt():
     from rotorwkb.core import time_grid
-    from rotorwkb.hydro import WKBState, evolve_wkb
+    from rotorwkb.hydro import HydroState, WKBState, evolve_hydro, evolve_wkb
     from rotorwkb.nls import evolve_nls
     from rotorwkb.rays import QuadraticPhase, Ray, integrate_ray
 
     dt = 0.01
     n, h = time_grid(3.4 * dt, dt)
     assert n == 4 and h <= dt
-    # multiples of dt up to roundoff keep their step count
+    # multiples of dt up to roundoff keep their step count; T = 0 takes none
     for T, dt_k, count in [(0.02, 1e-3, 20), (0.04, 1e-3, 40), (0.1, 1e-3, 100),
-                           (0.1, 1e-4, 1000), (0.3, 1e-3, 300), (0.0, 1e-3, 1)]:
+                           (0.1, 1e-4, 1000), (0.3, 1e-3, 300), (0.0, 1e-3, 0)]:
         assert time_grid(T, dt_k)[0] == count
 
     # every marcher takes 4 steps of 0.0085 for T = 3.4 dt
     params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
-    traj = integrate_ray(Ray.from_phase(np.zeros(2), QuadraticPhase.zero(2)),
-                         dt, 3.4 * dt, params)
+    launch = Ray.from_phase(np.zeros(2), QuadraticPhase.zero(2))
+    traj = integrate_ray(launch, dt, 3.4 * dt, params)
     assert len(traj.times) == 5 and np.diff(traj.times).max() <= dt
 
     grid = GridSpec.square(16, 4.0)
-    times = []
-    evolve_wkb(WKBState.from_amplitude(make_gaussian(grid), grid, params),
-               T=3.4 * dt, dt=dt, observer=lambda t, s: times.append(t))
-    assert len(times) == 5 and np.diff(times).max() <= dt
+    a0 = make_gaussian(grid)
+    starts = ((evolve_nls, WaveField(a0, 0.0, grid, params)),
+              (evolve_wkb, WKBState.from_amplitude(a0, grid, params)),
+              (evolve_hydro, HydroState(a0 * a0, np.zeros((2,) + grid.shape), 0.0,
+                                        grid, params)))
+    for evolve, state0 in starts:
+        times = []
+        evolve(state0, T=3.4 * dt, dt=dt, observer=lambda t, s: times.append(t))
+        assert len(times) == 5 and np.diff(times).max() <= dt
 
-    times = []
-    evolve_nls(WaveField(make_gaussian(grid), 0.0, grid, params), T=3.4 * dt, dt=dt,
-               observer=lambda t, s: times.append(t))
-    assert len(times) == 5 and np.diff(times).max() <= dt
+    # at T = 3.7 dt and stride 2 every marcher sees the same times, bit for bit
+    seen = [integrate_ray(launch, dt, 3.7 * dt, params, store_stride=2).times.tolist()]
+    for evolve, state0 in starts:
+        times = []
+        evolve(state0, T=3.7 * dt, dt=dt, observer=lambda t, s: times.append(t),
+               observer_stride=2)
+        seen.append(times)
+    assert len(seen[0]) == 3 and all(times == seen[0] for times in seen)
+
+
+def test_zero_horizon_observes_the_start_once_on_every_marcher():
+    from rotorwkb.hydro import HydroState, WKBState, evolve_hydro, evolve_wkb
+    from rotorwkb.nls import evolve_nls
+    from rotorwkb.rays import QuadraticPhase, Ray, integrate_rays
+
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
+    grid = GridSpec.square(16, 4.0)
+    a0 = make_gaussian(grid)
+    drift = QuadraticPhase(np.array([[0.2, 0.1], [0.1, -0.1]]), np.array([0.3, -0.2]), 0.1)
+
+    def same_bits(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def observed(evolve, state0, **kw):
+        times = []
+        final = evolve(state0, T=0.0, observer=lambda t, s: times.append(t), **kw)
+        assert times == [0.0]
+        return final
+
+    psi0 = WaveField(a0.astype(complex), 0.0, grid, params)
+    assert same_bits(observed(evolve_nls, psi0, dt=0.01).values, psi0.values)
+
+    for eps in (0.25, 0.0):
+        state0 = WKBState.from_amplitude(a0, grid, params, drift=drift, eps=eps)
+        final = observed(evolve_wkb, state0)
+        for name in ("alpha", "beta", "v", "phi"):
+            assert same_bits(getattr(final, name), getattr(state0, name))
+        assert (same_bits(final.drift.Sigma, drift.Sigma)
+                and same_bits(final.drift.b, drift.b) and final.drift.c == drift.c)
+
+    # the march carries alpha = sqrt(rho), and sqrt(a^2)^2 = a^2 in binary
+    # floating point, so a squared amplitude comes back with its bits
+    h0 = HydroState(a0 * a0, np.stack([0.1 * a0, -0.2 * a0]), 0.0, grid, params)
+    final = observed(evolve_hydro, h0)
+    assert same_bits(final.rho, h0.rho) and same_bits(final.v, h0.v)
+
+    rays = [Ray.from_phase(x0, drift) for x0 in ([0.0, 0.0], [1.0, -0.5])]
+    for ray, traj in zip(rays, integrate_rays(rays, 1e-3, 0.0, params)):
+        assert traj.times.tolist() == [0.0] and not traj.caustic
+        assert same_bits(traj.x[0], ray.x) and same_bits(traj.p[0], ray.p)
+        assert same_bits(traj.sigma[0], ray.sigma) and same_bits(traj.gamma[0], ray.gamma)
+        assert traj.action.tolist() == [ray.action]
 
 
 @pytest.mark.parametrize("stride", [0, -2])

@@ -399,6 +399,21 @@ def test_cli_checks_the_step_bounds_once_per_run(tmp_path, capsys, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["run-nls", "run-wkb", "run-hydro", "run-rays"])
+def test_cli_zero_horizon_observes_the_start_once(tmp_path, command):
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o",
+                     "T = 1.0\nphase = zero\nrays_per_axis = 3\n")
+    assert cli.main([command, path, "--run.T=0"]) == 0
+    name = "rays.csv" if command == "run-rays" else "observables.csv"
+    with open(tmp_path / "o" / name, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(row["t"]) for row in rows] == [0.0] * len(rows)
+    if command == "run-rays":
+        assert [row["ray"] for row in rows] == [str(i) for i in range(3 ** 2)]
+    else:
+        assert len(rows) == 1
+
+
 def test_cli_maps_numerical_aborts_to_exit_3(tmp_path, capsys):
     # an affine carrier velocity jumps at the periodic seam and the
     # hydrodynamic route blows up there; the CLI reports it as status 3
@@ -449,6 +464,18 @@ def test_cli_partial_sweep_failure_exits_2_for_config_causes(tmp_path, capsys):
                    "--mode", "wkb"])
     assert rc == 2
     assert "eps = 0.25" in capsys.readouterr().err
+
+
+def test_cli_sweep_names_the_config_key_of_a_too_large_dt(tmp_path, capsys):
+    # the eps = 0 reference rejects the step first, as run-wkb does
+    path = tmp_path / "run.cfg"
+    path.write_text("[sim]\nOmega = 0.5\n[grid]\npoints = 32 32\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\noutdir = {tmp_path / 'sweep'}\nT = 0.1\ndt = 5\n",
+                    encoding="utf-8")
+    assert cli.main(["sweep", str(path), "--eps", "0.25,0.125,0.0625",
+                     "--mode", "wkb"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [run].dt: evolve_wkb:") and "step bounds" in err
 
 
 def test_cli_compare_prints_the_metric_block(tmp_path, capsys):
