@@ -16,16 +16,14 @@ from .core import (GridSpec, Nonlinearity, NumericalAbort, SimParams,
                    make_gaussian, make_vortex_init, potential_grid,
                    potential_gradient, rotation_generator, sobolev_norm,
                    spectral_gradient, wkb_assemble)
-from .hydro import (HydroState, MadelungFields, WKBState, assemble_matrices,
-                    cfl_limits, circulation, evolve_hydro, evolve_wkb,
-                    gradient_consistency, madelung_extract, rhs_wkb)
+from .hydro import (HydroState, WKBState, assemble_matrices, cfl_limits,
+                    evolve_hydro, evolve_wkb, gradient_consistency, rhs_wkb)
 from .nls import evolve_nls
-from .observables import (MomentODEParams, ObservableRecord, am_relation_residual,
-                          angular_momentum, dominant_frequency, energy,
-                          isotropic_closed_form, limit_angular_momentum, mass,
-                          moment_ode_rhs, moments, probability_current,
-                          record_from_hydro, record_from_wavefield,
-                          record_from_wkb, records_to_csv)
+from .observables import (MadelungFields, MomentODEParams, ObservableRecord,
+                          am_relation_residual, circulation, dominant_frequency,
+                          isotropic_closed_form, madelung_extract, mass,
+                          moment_ode_rhs, probability_current, record_from_hydro,
+                          record_from_wavefield, record_from_wkb, records_to_csv)
 from .rays import (CausticError, QuadraticPhase, Ray, RayTrajectory, ShootingError,
                    eval_phase_general, hamiltonian, integrate_ray, integrate_rays,
                    quadratic_phase_evolve)

@@ -376,16 +376,12 @@ def make_vortex_init(grid: GridSpec, winding: int, width: float = 1.0) -> np.nda
 
 # ---------- norms ----------
 
-def sobolev_norm(values: np.ndarray, grid: GridSpec, s: float = 4.0,
-                 weighted: bool = False) -> float:
-    """Spectral H^s norm; optionally the trap-adapted weighted variant.
+def sobolev_norm(values: np.ndarray, grid: GridSpec, s: float = 4.0) -> float:
+    """Spectral H^s norm (sum_k (1 + |k|^2)^s |u_hat(k)|^2 cell)^(1/2).
 
-    The plain norm is (sum_k (1 + |k|^2)^s |u_hat(k)|^2 cell)^(1/2) with
-    u_hat the DFT scaled by 1/sqrt(total points), so s = 0 reproduces
-    the L^2 quadrature norm.  With weighted=True the result is
-    ||u||_s + || |x| u ||_{s-1}, the norm that tracks both derivatives
-    and confinement.  Multi-component input stacks components on the
-    leading axis and combines them in quadrature.
+    u_hat is the DFT scaled by 1/sqrt(total points), so s = 0 reproduces
+    the L^2 quadrature norm.  Multi-component input stacks components on
+    the leading axis and combines them in quadrature.
     """
     values = np.asarray(values)
     if values.shape == grid.shape:
@@ -398,17 +394,10 @@ def sobolev_norm(values: np.ndarray, grid: GridSpec, s: float = 4.0,
     k2 = np.zeros(grid.shape)
     for axis in range(grid.dim):
         k2 = k2 + grid.wavenumber_mesh(axis) ** 2
+    weight = (1.0 + k2) ** s
     ntot = float(np.prod(grid.shape))
-
-    def hs(fields: np.ndarray, order: float) -> float:
-        total = 0.0
-        for u in fields:
-            uhat2 = np.abs(np.fft.fftn(u)) ** 2 / ntot
-            total += float(np.sum((1.0 + k2) ** order * uhat2)) * grid.cell
-        return math.sqrt(total)
-
-    base = hs(comps, s)
-    if not weighted:
-        return base
-    r = np.sqrt(sum(X * X for X in grid.meshes))
-    return base + hs(r * comps, s - 1.0)
+    total = 0.0
+    for u in comps:
+        uhat2 = np.abs(np.fft.fftn(u)) ** 2 / ntot
+        total += float(np.sum(weight * uhat2)) * grid.cell
+    return math.sqrt(total)

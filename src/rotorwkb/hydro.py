@@ -45,13 +45,12 @@ a step that exceeds the advective bound 0.5 dx / max|v + w|.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .core import (GridSpec, NumericalAbort, SimParams, WaveField, _freeze,
-                   current_from_gradient, potential_gradient, rotation_generator,
-                   spectral_gradient, time_grid)
+                   potential_gradient, rotation_generator, time_grid)
 from .rays import QuadraticPhase, quadratic_phase_evolve
 
 
@@ -646,7 +645,7 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
                   sponge_strength)
 
 
-# ---------- phase consistency and extraction ----------
+# ---------- phase consistency ----------
 
 def gradient_consistency(state: WKBState) -> float:
     """Max gap between the centered gradient of the carried phi and v."""
@@ -655,63 +654,3 @@ def gradient_consistency(state: WKBState) -> float:
         worst = max(worst, float(np.max(np.abs(
             d1(state.phi, j, state.grid.spacing[j]) - state.v[j]))))
     return worst
-
-
-class MadelungFields(NamedTuple):
-    rho: np.ndarray
-    v: np.ndarray
-    current: np.ndarray
-
-
-VACUUM_FLOOR = 1e-12   # density floor of the Madelung velocity, relative to max
-LOOP_SAMPLES = 1440    # trapezoid nodes on a circulation loop
-
-
-def madelung_extract(psi: WaveField) -> MadelungFields:
-    """Density, velocity, and raw current of a wavefunction.
-
-    current = eps Im(conj(psi) grad psi) via spectral derivatives;
-    v = current / rho with the density floored at VACUUM_FLOOR times its
-    max so vacuum regions stay finite.  Near-vacuum velocity is noise by
-    construction; compare currents there instead.
-    """
-    rho = psi.density()
-    grad = spectral_gradient(psi.values, psi.grid)
-    current = current_from_gradient(psi.values, grad, psi.params.eps)
-    v = current / np.maximum(rho, VACUUM_FLOOR * rho.max())[None]
-    return MadelungFields(rho=rho, v=v, current=current)
-
-
-def _bilinear(field: np.ndarray, grid: GridSpec, x1, x2) -> np.ndarray:
-    """Periodic bilinear sample of a 2d grid field at points (x1, x2)."""
-    idx = []
-    for axis, coord in ((0, x1), (1, x2)):
-        L = grid.half_extent[axis]
-        h = grid.spacing[axis]
-        n = grid.points[axis]
-        f = (np.asarray(coord) + L) / h
-        i0 = np.floor(f).astype(int)
-        idx.append((i0 % n, (i0 + 1) % n, f - i0))
-    (i0, i1, fx), (j0, j1, fy) = idx
-    return (field[i0, j0] * (1 - fx) * (1 - fy) + field[i1, j0] * fx * (1 - fy)
-            + field[i0, j1] * (1 - fx) * fy + field[i1, j1] * fx * fy)
-
-
-def circulation(v: np.ndarray, grid: GridSpec, center=(0.0, 0.0),
-                radius: float = 1.0) -> float:
-    """Line integral of a 2d velocity field around a circle.
-
-    Bilinear-samples v at LOOP_SAMPLES points of the loop and applies
-    the trapezoid rule; for a quantized vortex of winding m the result
-    is 2 pi eps m.
-    """
-    if grid.dim != 2 or v.shape[0] != 2:
-        raise ValueError("circulation is defined for 2d velocity fields")
-    theta = np.linspace(0.0, 2.0 * np.pi, LOOP_SAMPLES, endpoint=False)
-    cx, cy = center
-    x1 = cx + radius * np.cos(theta)
-    x2 = cy + radius * np.sin(theta)
-    v1 = _bilinear(v[0], grid, x1, x2)
-    v2 = _bilinear(v[1], grid, x1, x2)
-    tangential = -v1 * np.sin(theta) + v2 * np.cos(theta)
-    return float(radius * np.sum(tangential) * (2.0 * np.pi / LOOP_SAMPLES))

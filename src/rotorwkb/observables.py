@@ -1,13 +1,15 @@
-"""Physical diagnostics and the angular-momentum moment system.
+"""Physical diagnostics, Madelung fields and the angular-momentum
+moment system.
 
-Quadratures over grid fields: mass, energy, the angular momentum
-expectation
-
-    m_eps = Re[ i eps int conj(psi) (x_perp . grad psi) dx ],
-
-its hydrodynamic limit m = -int rho x_perp . v dx, the radial momentum
-moment n = int x . J dx with current J = eps Im(conj(psi) grad psi),
-the spread X = <|x|^2>, and the cross moment <x1 x2>.
+Every route's record is one set of quadratures over a density rho, a
+current J and a kinetic density kin: the mass int rho, the angular
+momentum m_eps = -int x_perp . J, the radial momentum moment
+n = int x . J, the spread X = <|x|^2>, the cross moment <x1 x2>, and
+the energy E = int kin + V rho + G(rho) dx + Omega m_eps.  A
+wavefunction gives rho = |psi|^2, J = eps Im(conj(psi) grad psi) and
+kin = eps^2/2 |grad psi|^2; pointwise Re(i eps conj(psi) x_perp . grad psi)
+= -x_perp . J, so m_eps is the expectation of the rotation generator.
+The limit gives J = rho v and kin = rho |v|^2 / 2.
 
 The moment system for (m, n, X) is the exact Ehrenfest law of the
 rotating NLS with a 2d cubic nonlinearity:
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,15 +61,6 @@ class ObservableRecord:
             raise ValueError(f"mass must be positive, got {self.mass}")
 
 
-def _require_real(value: complex, what: str) -> float:
-    tol = 1e-10 * max(1.0, abs(value.real))
-    if abs(value.imag) > tol:
-        raise FloatingPointError(
-            f"{what} quadrature has imaginary residue {value.imag:.3e} "
-            f"against real part {value.real:.3e}")
-    return float(value.real)
-
-
 def mass(psi: WaveField) -> float:
     return float(integrate(psi.density(), psi.grid))
 
@@ -78,103 +71,18 @@ def probability_current(psi: WaveField) -> np.ndarray:
                                  psi.params.eps)
 
 
-def _x_perp_dot(a: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """x_perp . a = x2 a1 - x1 a2 (acts in the x1-x2 plane)."""
-    X1, X2 = grid.meshes[0], grid.meshes[1]
-    return X2 * a[0] - X1 * a[1]
-
-
-def _energy(psi: WaveField, rho: np.ndarray, grad: np.ndarray,
-            x_perp_grad: np.ndarray) -> float:
-    params = psi.params
-    eps = params.eps
-    grid = psi.grid
-    kinetic = 0.5 * eps * eps * np.sum(np.abs(grad) ** 2, axis=0)
-    trap = potential_grid(grid, params.omega) * rho
-    inter = params.nonlinearity.antiderivative(rho)
-    total = complex(integrate(kinetic + trap + inter, grid))
-    if params.Omega != 0.0:
-        rot = 1j * eps * params.Omega * np.conj(psi.values) * x_perp_grad
-        total += complex(integrate(rot, grid))
-    return _require_real(total, "energy")
-
-
-def energy(psi: WaveField) -> float:
-    """Total energy: kinetic + trap + interaction + rotation coupling.
-
-    E = int eps^2/2 |grad psi|^2 + V |psi|^2 + G(|psi|^2)
-        + Re(i eps Omega conj(psi) x_perp . grad psi) dx,
-    with G the antiderivative of f and eps, Omega, V, f from psi.params.
-    The rotation term is real analytically; its roundoff residue is
-    checked before discarding.
-    """
-    grad = spectral_gradient(psi.values, psi.grid)
-    return _energy(psi, psi.density(), grad, _x_perp_dot(grad, psi.grid))
-
-
-def _angular_momentum(psi: WaveField, x_perp_grad: np.ndarray) -> float:
-    val = (1j * psi.params.eps
-           * complex(integrate(np.conj(psi.values) * x_perp_grad, psi.grid)))
-    return _require_real(val, "angular momentum")
-
-
-def angular_momentum(psi: WaveField) -> float:
-    """m_eps = Re[i eps int conj(psi) x_perp . grad psi dx], eps from psi.params."""
-    grad = spectral_gradient(psi.values, psi.grid)
-    return _angular_momentum(psi, _x_perp_dot(grad, psi.grid))
-
-
-def limit_angular_momentum(rho: np.ndarray, v: np.ndarray, grid: GridSpec) -> float:
-    """m = -int rho x_perp . v dx (note the minus sign)."""
-    return float(integrate(-rho * _x_perp_dot(v, grid), grid))
-
-
-def moments_density(rho: np.ndarray, v: np.ndarray | None, grid: GridSpec):
-    """(n, X, xy) from density samples; n needs a velocity (else 0)."""
-    r2 = sum(X * X for X in grid.meshes)
-    Xm = float(integrate(r2 * rho, grid))
-    xy = float(integrate(grid.meshes[0] * grid.meshes[1] * rho, grid))
-    if v is None:
-        n = 0.0
-    else:
-        xv = sum(grid.meshes[j] * v[j] for j in range(grid.dim))
-        n = float(integrate(rho * xv, grid))
-    return n, Xm, xy
-
-
-def _moments(psi: WaveField, rho: np.ndarray, grad: np.ndarray):
-    J = current_from_gradient(psi.values, grad, psi.params.eps)
-    xJ = sum(psi.grid.meshes[j] * J[j] for j in range(psi.grid.dim))
-    n = float(integrate(xJ, psi.grid))
-    _, Xm, xy = moments_density(rho, None, psi.grid)
-    return n, Xm, xy
-
-
-def moments(psi: WaveField):
-    """(n, X, xy) of a wavefunction; n = int x . J dx is vacuum-safe."""
-    return _moments(psi, psi.density(), spectral_gradient(psi.values, psi.grid))
-
-
 # ---------- records ----------
 
-def record_from_wavefield(psi: WaveField) -> ObservableRecord:
-    """All observables of psi from one spectral gradient."""
-    rho = psi.density()
-    grad = spectral_gradient(psi.values, psi.grid)
-    n, Xm, xy = _moments(psi, rho, grad)
-    x_perp_grad = _x_perp_dot(grad, psi.grid)
-    e = _energy(psi, rho, grad, x_perp_grad)
-    m_eps = _angular_momentum(psi, x_perp_grad)
-    return ObservableRecord(t=psi.t, mass=float(integrate(rho, psi.grid)), energy=e,
-                            m_eps=m_eps, n=n, X=Xm, xy=xy)
-
-
-def _limit_record(t: float, rho: np.ndarray, v: np.ndarray, grid: GridSpec,
-                  params: SimParams) -> ObservableRecord:
-    """Limit functionals; energy int rho |v|^2/2 + V rho + G(rho) dx + Omega m."""
-    n, Xm, xy = moments_density(rho, v, grid)
-    m = limit_angular_momentum(rho, v, grid)
-    kin = 0.5 * rho * sum(v[j] ** 2 for j in range(grid.dim))
+def _record(t: float, rho: np.ndarray, J: np.ndarray, kin: np.ndarray,
+            grid: GridSpec, params: SimParams) -> ObservableRecord:
+    """The one formula set of every record: the observables of density
+    rho, current J and kinetic density kin, with x_perp . J = x2 J1 - x1 J2
+    and Omega, V and G from params."""
+    meshes = grid.meshes
+    m = float(integrate(meshes[0] * J[1] - meshes[1] * J[0], grid))
+    n = float(integrate(sum(meshes[j] * J[j] for j in range(grid.dim)), grid))
+    Xm = float(integrate(sum(X * X for X in meshes) * rho, grid))
+    xy = float(integrate(meshes[0] * meshes[1] * rho, grid))
     trap = potential_grid(grid, params.omega) * rho
     inter = params.nonlinearity.antiderivative(rho)
     e = float(integrate(kin + trap + inter, grid)) + params.Omega * m
@@ -182,13 +90,31 @@ def _limit_record(t: float, rho: np.ndarray, v: np.ndarray, grid: GridSpec,
                             m_eps=m, n=n, X=Xm, xy=xy)
 
 
+def record_from_wavefield(psi: WaveField) -> ObservableRecord:
+    """All observables of psi from one spectral gradient: rho = |psi|^2,
+    J = eps Im(conj(psi) grad psi) and kin = eps^2/2 |grad psi|^2."""
+    eps = psi.params.eps
+    grad = spectral_gradient(psi.values, psi.grid)
+    J = current_from_gradient(psi.values, grad, eps)
+    kin = 0.5 * eps * eps * np.sum(np.abs(grad) ** 2, axis=0)
+    del grad  # not alive through the quadratures
+    return _record(psi.t, psi.density(), J, kin, psi.grid, psi.params)
+
+
+def _limit_record(t: float, rho: np.ndarray, v: np.ndarray, grid: GridSpec,
+                  params: SimParams) -> ObservableRecord:
+    """The limit's inputs: J = rho v and kin = rho |v|^2 / 2."""
+    kin = 0.5 * rho * sum(v[j] ** 2 for j in range(grid.dim))
+    return _record(t, rho, rho * v, kin, grid, params)
+
+
 def record_from_hydro(h: HydroState) -> ObservableRecord:
-    return _limit_record(h.t, np.asarray(h.rho), np.asarray(h.v), h.grid, h.params)
+    return _limit_record(h.t, h.rho, h.v, h.grid, h.params)
 
 
 def record_from_wkb(state: WKBState) -> ObservableRecord:
-    """Observables of a WKB state: exact functionals of the reassembled
-    wavefunction when eps > 0, limit functionals at eps = 0."""
+    """Observables of a WKB state: those of the reassembled wavefunction
+    when eps > 0, of the limit (rho, rho (v + grad S)) at eps = 0."""
     if state.eps > 0:
         return record_from_wavefield(state.to_wavefield())
     return _limit_record(state.t, state.density(), state.total_velocity(),
@@ -201,6 +127,67 @@ def records_to_csv(records: Sequence[ObservableRecord]) -> str:
         lines.append(",".join(f"{x:.17g}" for x in
                               (r.t, r.mass, r.energy, r.m_eps, r.n, r.X, r.xy)))
     return "\n".join(lines) + "\n"
+
+
+# ---------- Madelung fields ----------
+
+class MadelungFields(NamedTuple):
+    rho: np.ndarray
+    v: np.ndarray
+    current: np.ndarray
+
+
+VACUUM_FLOOR = 1e-12   # density floor of the Madelung velocity, relative to max
+LOOP_SAMPLES = 1440    # trapezoid nodes on a circulation loop
+
+
+def madelung_extract(psi: WaveField) -> MadelungFields:
+    """Density, velocity, and raw current of a wavefunction.
+
+    current = probability_current(psi); v = current / rho with the
+    density floored at VACUUM_FLOOR times its max so vacuum regions stay
+    finite.  Near-vacuum velocity is noise by construction; compare
+    currents there instead.
+    """
+    rho = psi.density()
+    current = probability_current(psi)
+    v = current / np.maximum(rho, VACUUM_FLOOR * rho.max())[None]
+    return MadelungFields(rho=rho, v=v, current=current)
+
+
+def _bilinear(field: np.ndarray, grid: GridSpec, x1, x2) -> np.ndarray:
+    """Periodic bilinear sample of a 2d grid field at points (x1, x2)."""
+    idx = []
+    for axis, coord in ((0, x1), (1, x2)):
+        L = grid.half_extent[axis]
+        h = grid.spacing[axis]
+        n = grid.points[axis]
+        f = (np.asarray(coord) + L) / h
+        i0 = np.floor(f).astype(int)
+        idx.append((i0 % n, (i0 + 1) % n, f - i0))
+    (i0, i1, fx), (j0, j1, fy) = idx
+    return (field[i0, j0] * (1 - fx) * (1 - fy) + field[i1, j0] * fx * (1 - fy)
+            + field[i0, j1] * (1 - fx) * fy + field[i1, j1] * fx * fy)
+
+
+def circulation(v: np.ndarray, grid: GridSpec, center=(0.0, 0.0),
+                radius: float = 1.0) -> float:
+    """Line integral of a 2d velocity field around a circle.
+
+    Bilinear-samples v at LOOP_SAMPLES points of the loop and applies
+    the trapezoid rule; for a quantized vortex of winding m the result
+    is 2 pi eps m.
+    """
+    if grid.dim != 2 or v.shape[0] != 2:
+        raise ValueError("circulation is defined for 2d velocity fields")
+    theta = np.linspace(0.0, 2.0 * np.pi, LOOP_SAMPLES, endpoint=False)
+    cx, cy = center
+    x1 = cx + radius * np.cos(theta)
+    x2 = cy + radius * np.sin(theta)
+    v1 = _bilinear(v[0], grid, x1, x2)
+    v2 = _bilinear(v[1], grid, x1, x2)
+    tangential = -v1 * np.sin(theta) + v2 * np.cos(theta)
+    return float(radius * np.sum(tangential) * (2.0 * np.pi / LOOP_SAMPLES))
 
 
 # ---------- moment ODE system ----------

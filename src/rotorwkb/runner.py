@@ -212,7 +212,7 @@ def run(cfg: RunConfig) -> RunResult:
                                observing(record_from_hydro,
                                          lambda s: s.rho.astype(complex),
                                          "hydro-density"))
-        final_values = np.sqrt(final.rho)
+        final_values = final.rho.astype(complex)
     elif cfg.solver == "rays":
         bundle = build_ray_bundle(cfg)
         trajectories = integrate_rays(bundle, dt=cfg.dt or RAYS_DEFAULT_DT,
@@ -236,10 +236,10 @@ def run(cfg: RunConfig) -> RunResult:
     csv_path.write_text(records_to_csv(records), encoding="utf-8")
     artifacts.append(csv_path)
 
-    if final_values is not None:
-        leak = float(boundary_max(final_values))
-    else:
-        leak = None
+    leak = None if final_values is None else float(boundary_max(final_values))
+    if cfg.solver == "hydro":
+        # the leak of the amplitude sqrt(rho), as of |psi| and |a| on the other routes
+        leak = math.sqrt(leak)
 
     manifest = {
         "solver": cfg.solver,

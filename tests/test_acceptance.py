@@ -16,12 +16,11 @@ import pytest
 from rotorwkb.config import InitialData, RunConfig
 from rotorwkb.core import (GridSpec, SimParams, WaveField, make_gaussian,
                            make_vortex_init)
-from rotorwkb.hydro import (WKBState, circulation, evolve_hydro, evolve_wkb,
-                            madelung_extract)
+from rotorwkb.hydro import WKBState, evolve_hydro, evolve_wkb
 from rotorwkb.nls import evolve_nls
 from rotorwkb.observables import (MomentODEParams, am_relation_residual,
-                                  angular_momentum, dominant_frequency,
-                                  isotropic_closed_form, mass,
+                                  circulation, dominant_frequency,
+                                  isotropic_closed_form, madelung_extract, mass,
                                   record_from_wavefield)
 from rotorwkb.rays import (QuadraticPhase, Ray, integrate_rays,
                            quadratic_phase_evolve)
@@ -235,7 +234,7 @@ def test_A9_vortex_carries_quantized_angular_momentum():
     sim = SimParams(eps=eps, Omega=0.0, omega=(1.0, 1.0))
     psi = WaveField(make_vortex_init(grid, winding=1), 0.0, grid, sim)
 
-    rel = abs(angular_momentum(psi) - eps * mass(psi)) / (eps * mass(psi))
+    rel = abs(record_from_wavefield(psi).m_eps - eps * mass(psi)) / (eps * mass(psi))
     loop = circulation(madelung_extract(psi).v, grid, radius=1.0)
     loop_rel = abs(loop - 2.0 * np.pi * eps) / (2.0 * np.pi * eps)
     ok = rel < 1e-8 and loop_rel < 0.01

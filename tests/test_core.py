@@ -367,14 +367,3 @@ def test_sobolev_single_mode_closed_form():
     for s in (0.0, 2.0, 4.0):
         expect = np.sqrt(64.0 * (1.0 + k[0] ** 2 + k[1] ** 2) ** s)
         assert sobolev_norm(u, grid, s=s) == pytest.approx(expect, rel=1e-12)
-
-
-def test_sobolev_weighted_adds_moment_term():
-    grid = GridSpec.square(32, 4.0)
-    a = make_gaussian(grid)
-    plain = sobolev_norm(a, grid, s=2.0)
-    r = np.sqrt(sum(X * X for X in grid.meshes))
-    expect = plain + sobolev_norm(r * a, grid, s=1.0)
-    assert sobolev_norm(a, grid, s=2.0, weighted=True) == pytest.approx(
-        expect, rel=1e-12)
-    assert sobolev_norm(a, grid, s=2.0, weighted=True) > plain

@@ -18,7 +18,7 @@ from rotorwkb.core import GridSpec, Nonlinearity, NumericalAbort, SimParams
 from rotorwkb.runner import (SweepError, _worker_count, build_ray_bundle,
                              build_wavefield, build_wkb_state, compare_fields,
                              epsilon_sweep, run)
-from rotorwkb.snapshots import MAGIC, save_field
+from rotorwkb.snapshots import MAGIC, load_field, save_field
 
 
 def small_cfg(outdir, **kw):
@@ -496,14 +496,52 @@ def test_cli_compare_prints_the_metric_block(tmp_path, capsys):
                      str(tmp_path / "missing.rsfw")]) == 2
 
 
+ROTATING = "[sim]\nOmega = 0.5\nomega = 1.0 1.5\n"
+
+
 def test_cli_observables_matches_the_run_table(tmp_path, capsys):
-    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o", "T = 0.0\n")
+    # every observed state is snapshotted, so scoring the snapshots
+    # reproduces the run's own table, rotation energy and torque included
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o",
+                     "T = 0.01\nstride = 2\nsnapshot_stride = 1\nphase = quadratic\n"
+                     "sigma0 = 0.1 0.05 0.05 -0.1\nb0 = 0.3 0\n" + ROTATING)
     assert cli.main(["run-nls", path]) == 0
     capsys.readouterr()
-    rc = cli.main(["observables", path, str(tmp_path / "o" / "initial.rsfw")])
-    assert rc == 0
+    snaps = sorted(str(p) for p in (tmp_path / "o").glob("snap_*.rsfw"))
+    assert len(snaps) == 6
+    assert cli.main(["observables", path] + snaps) == 0
     assert capsys.readouterr().out == \
         (tmp_path / "o" / "observables.csv").read_text()
+
+
+def test_cli_observables_rejects_wkb_amplitudes(tmp_path, capsys):
+    # run-wkb saves the amplitude a at eps > 0; scoring it as psi would
+    # print another state's numbers
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o",
+                     "T = 0.01\ndt = 0.005\nsnapshot_stride = 1\n" + ROTATING)
+    assert cli.main(["run-wkb", path]) == 0
+    capsys.readouterr()
+    fields = sorted((tmp_path / "o").glob("*.rsfw"))
+    assert [p.name for p in fields] == ["final.rsfw", "initial.rsfw", "snap_000000.rsfw",
+                                        "snap_000001.rsfw"]
+    for field, tag in zip(fields, ("wkb-final", "wkb-amplitude", "wkb-amplitude",
+                                   "wkb-amplitude")):
+        assert cli.main(["observables", path, str(field)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(field) in err and tag in err
+
+
+@pytest.mark.parametrize("command", ["run-nls", "run-wkb", "run-hydro"])
+def test_final_field_is_the_last_snapshot(tmp_path, command):
+    # the last observed state is the final one, so both files hold it
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o",
+                     "T = 0.01\ndt = 0.005\nstride = 1\nsnapshot_stride = 1\nphase = zero\n"
+                     + ROTATING)
+    assert cli.main([command, path]) == 0
+    last = load_field(tmp_path / "o" / "snap_000002.rsfw")
+    final = load_field(tmp_path / "o" / "final.rsfw")
+    assert (last.t, last.eps) == (final.t, final.eps)
+    np.testing.assert_array_equal(last.values, final.values)
 
 
 def test_cli_observables_rejects_limit_snapshots(tmp_path, capsys):

@@ -27,17 +27,13 @@ from rotorwkb import (
     WaveField,
     WKBState,
     am_relation_residual,
-    angular_momentum,
     dominant_frequency,
-    energy,
     evolve_nls,
     isotropic_closed_form,
-    limit_angular_momentum,
     make_gaussian,
     make_vortex_init,
     mass,
     moment_ode_rhs,
-    moments,
     probability_current,
     record_from_hydro,
     record_from_wavefield,
@@ -45,7 +41,7 @@ from rotorwkb import (
     records_to_csv,
     wkb_assemble,
 )
-from rotorwkb.observables import CSV_HEADER, moments_density
+from rotorwkb.observables import CSV_HEADER
 
 
 def records_from_csv(text):
@@ -63,19 +59,22 @@ def _gauss_density(grid, center=(0.0, 0.0)):
     return np.exp(-((X1 - center[0]) ** 2 + (X2 - center[1]) ** 2)) / np.pi
 
 
+def _limit(rho, v, grid):
+    return record_from_hydro(HydroState(rho, v, 0.0, grid, SimParams(eps=0.25)))
+
+
 def test_density_moments_of_shifted_gaussian():
     grid = GridSpec.square(128, 8.0)
     c = (1.5, -0.5)
     rho = _gauss_density(grid, c)
-    n, X, xy = moments_density(rho, None, grid)
-    assert n == 0.0
-    assert X == pytest.approx(1.0 + c[0] ** 2 + c[1] ** 2, rel=1e-10)
-    assert xy == pytest.approx(c[0] * c[1], abs=1e-10)
+    r = _limit(rho, np.zeros((2,) + grid.shape), grid)
+    assert r.n == 0.0
+    assert r.X == pytest.approx(1.0 + c[0] ** 2 + c[1] ** 2, rel=1e-10)
+    assert r.xy == pytest.approx(c[0] * c[1], abs=1e-10)
     # n with a uniform velocity u is centroid . u times the mass
     u = np.array([0.7, -0.2])
     v = np.stack([np.full(grid.shape, u[0]), np.full(grid.shape, u[1])])
-    n2, _, _ = moments_density(rho, v, grid)
-    assert n2 == pytest.approx(c[0] * u[0] + c[1] * u[1], rel=1e-10)
+    assert _limit(rho, v, grid).n == pytest.approx(c[0] * u[0] + c[1] * u[1], rel=1e-10)
 
 
 def test_plane_wave_energy():
@@ -93,7 +92,7 @@ def test_plane_wave_energy():
     mu = -grid.spacing[0] / 2.0
     expect = (0.5 * 0.5**2 * (k[0] ** 2 + k[1] ** 2)
               - 0.5 * 0.3 * (k[0] * mu - k[1] * mu))
-    assert energy(psi) == pytest.approx(expect, rel=1e-12)
+    assert record_from_wavefield(psi).energy == pytest.approx(expect, rel=1e-12)
 
 
 def test_trapped_gaussian_energy_closed_form():
@@ -105,7 +104,7 @@ def test_trapped_gaussian_energy_closed_form():
     a = make_gaussian(grid)
     psi = WaveField(a.astype(complex), 0.0, grid, params)
     expect = eps**2 + 0.25 + 1.0 / (2.0 * np.pi)
-    assert energy(psi) == pytest.approx(expect, rel=1e-10)
+    assert record_from_wavefield(psi).energy == pytest.approx(expect, rel=1e-10)
 
 
 def test_probability_current_of_plane_phase():
@@ -128,7 +127,8 @@ def test_vortex_angular_momentum_quantized():
     params = SimParams(eps=eps, Omega=0.0, omega=(1.0, 1.0))
     for winding in (1, -2):
         psi = WaveField(make_vortex_init(grid, winding), 0.0, grid, params)
-        assert angular_momentum(psi) == pytest.approx(eps * winding, rel=1e-9)
+        assert record_from_wavefield(psi).m_eps == pytest.approx(eps * winding,
+                                                                 rel=1e-9)
 
 
 def test_limit_angular_momentum_of_rigid_field():
@@ -138,22 +138,32 @@ def test_limit_angular_momentum_of_rigid_field():
     X1, X2 = grid.meshes
     v = np.stack([-c * X2, c * X1])
     # m = -int rho (x2 v1 - x1 v2) = c <|x|^2> = c * 1
-    assert limit_angular_momentum(rho, v, grid) == pytest.approx(c, rel=1e-10)
+    assert _limit(rho, v, grid).m_eps == pytest.approx(c, rel=1e-10)
+
+
+def _rotating_state():
+    grid = GridSpec.square(64, 8.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.5))
+    X1, X2 = grid.meshes
+    return wkb_assemble(make_gaussian(grid, center=(1.0, 0.5)),
+                        0.1 * X1 * X2 + 0.3 * X1, grid, params)
 
 
 def test_wavefunction_moments_match_density_route():
-    grid = GridSpec.square(64, 8.0)
-    eps = 0.25
+    # psi = a exp(i S / eps) against the limit (a^2, grad S): the same
+    # mass, m_eps, n, X and xy, and an energy above the limit's by the
+    # quantum pressure eps^2/2 int |grad a|^2 = eps^2 of the unit-mass
+    # Gaussian
+    psi = _rotating_state()
+    grid, eps = psi.grid, psi.params.eps
     a = make_gaussian(grid, center=(1.0, 0.5))
     X1, X2 = grid.meshes
-    psi = wkb_assemble(a, 0.3 * X1, grid, SimParams(eps=eps))
-    n, X, xy = moments(psi)
-    rho = psi.density()
-    v = np.stack([np.full(grid.shape, 0.3), np.zeros(grid.shape)])
-    n_ref, X_ref, xy_ref = moments_density(rho, v, grid)
-    assert n == pytest.approx(n_ref, rel=1e-8)
-    assert X == pytest.approx(X_ref, rel=1e-12)
-    assert xy == pytest.approx(xy_ref, rel=1e-12)
+    grad_S = np.stack([0.1 * X2 + 0.3, 0.1 * X1])
+    got = record_from_wavefield(psi)
+    limit = record_from_hydro(HydroState(a * a, grad_S, psi.t, grid, psi.params))
+    for name in ("mass", "m_eps", "n", "X", "xy"):
+        assert getattr(got, name) == pytest.approx(getattr(limit, name), abs=1e-12)
+    assert got.energy - limit.energy == pytest.approx(eps ** 2, abs=1e-12)
 
 
 # ---------- records ----------
@@ -175,22 +185,6 @@ def test_record_validation_and_csv_round_trip():
     with pytest.raises(ValueError):
         ObservableRecord(t=0.0, mass=np.nan, energy=0.0, m_eps=0.0, n=0.0,
                          X=0.0, xy=0.0)
-
-
-def _rotating_state():
-    grid = GridSpec.square(64, 8.0)
-    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.5))
-    X1, X2 = grid.meshes
-    return wkb_assemble(make_gaussian(grid, center=(1.0, 0.5)),
-                        0.1 * X1 * X2 + 0.3 * X1, grid, params)
-
-
-def test_record_equals_the_quantities_taken_one_at_a_time():
-    psi = _rotating_state()
-    n, X, xy = moments(psi)
-    expect = ObservableRecord(t=psi.t, mass=mass(psi), energy=energy(psi),
-                              m_eps=angular_momentum(psi), n=n, X=X, xy=xy)
-    assert record_from_wavefield(psi) == expect  # the same bits, not approx
 
 
 def test_record_takes_one_spectral_gradient(monkeypatch):
