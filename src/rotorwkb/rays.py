@@ -23,11 +23,14 @@ A bundle marches in blocks of at most RAY_STEPS_PER_BLOCK ray-steps
 and the frame of every ray across a block, and the caustic tests below
 read all its steps at once.
 
-A ray is truncated and flagged at a caustic, where det Gamma falls to
-CAUSTIC_DET: at a sample, or between samples on the cubic matching det
-Gamma and its Jacobi slope det Gamma tr Sigma at both ends.  The exact
-flow steps over an isotropic focus (det Gamma = cos^2 t touches zero
-without a sign change), hence the check between samples.
+A ray is truncated and flagged at a caustic, at the first step at whose
+end det Gamma is at or below CAUSTIC_DET or over which tr Sigma rises by
+more than 1/h.  Since tr(J Sigma) = 0 for symmetric Sigma, tr Sigma' =
+-tr Sigma^2 - sum_j omega_j^2: tr Sigma only falls between foci.  A step
+h that holds a focus lifts it by at least about 4/h (one eigenvalue goes
+from -1/delta1 to +1/delta2, delta1 + delta2 <= h), even where det Gamma
+stays above the floor at both ends, as at an isotropic focus (det Gamma
+= cos^2 t touches zero); the 1/h margin keeps roundoff rises out.
 
 A globally quadratic phase S = x.Sigma x/2 + b.x + c stays quadratic;
 quadratic_phase_evolve reads its coefficients off the ray launched from
@@ -185,42 +188,18 @@ def _det_adj(G: np.ndarray):
     return sum(G[0, k] * adj[k, 0] for k in range(G.shape[0])), adj
 
 
-def _dips_to_caustic(det0, det1, slope0, slope1, h) -> np.ndarray:
-    """Where the cubic Hermite interpolant p(u) = a + b u + c u^2 + e u^3,
-    u in [0, 1], of det Gamma over a step (end values det0, det1 above
-    CAUSTIC_DET, slopes slope0, slope1) falls to CAUSTIC_DET inside it.
-
-    The Hermite weights bound p below by min(det0, det1) - (4/27) h
-    (|slope0| + |slope1|); the interior minima are computed only when
-    that bound reaches CAUSTIC_DET for some ray.
-    """
-    near = (np.minimum(det0, det1) - (4.0 / 27.0) * h * (np.abs(slope0) + np.abs(slope1))
-            <= CAUSTIC_DET)
-    if not near.any():
-        return near
-    a, b = det0, h * slope0
-    c = 3.0 * (det1 - det0) - h * (2.0 * slope0 + slope1)
-    e = 2.0 * (det0 - det1) + h * (slope0 + slope1)
-    dips = np.zeros_like(near)
-    with np.errstate(all="ignore"):
-        # roots of p'(u) = b + 2 c u + 3 e u^2 in cancellation-free form;
-        # complex or outside (0, 1) falls back to u = 0, where p = det0
-        q = -(c + np.copysign(np.sqrt(c * c - 3.0 * b * e), c))
-        for u in (q / (3.0 * e), b / q):
-            u = np.where((u > 0.0) & (u < 1.0), u, 0.0)
-            dips |= a + u * (b + u * (c + u * e)) <= CAUSTIC_DET
-    return near & dips
-
-
 # ---------- batched integration ----------
 
 @dataclass
 class RayTrajectory:
     """Stored ray history plus the dense tr Sigma record for quadrature.
 
-    caustic is True when det Gamma reached CAUSTIC_DET; the trajectory
-    then stops at caustic_time, the last sample before the caustic,
-    instead of the requested horizon.
+    caustic is True when a step met the caustic rule of integrate_rays:
+    det Gamma at or below CAUSTIC_DET at its end, or a rise of tr Sigma
+    by more than 1/h over it, which the trace law tr Sigma' = -tr Sigma^2
+    - sum omega_j^2 forbids between foci.  The trajectory then stops at
+    caustic_time, the last sample before that step, instead of the
+    requested horizon.
     """
 
     times: np.ndarray
@@ -238,19 +217,6 @@ class RayTrajectory:
     def det_gamma(self) -> np.ndarray:
         """det Gamma at the stored times, by the rule the caustic test reads."""
         return _det_adj(np.moveaxis(self.gamma, 0, -1))[0]
-
-    def det_gamma_from_trace(self) -> np.ndarray:
-        """exp of the cumulative trapezoid of tr Sigma, at the stored times.
-
-        By the Jacobi identity this reproduces det Gamma; the gap
-        between the two is an integration-quality certificate.
-        """
-        f = self.dense_tr_sigma
-        dt = np.diff(self.dense_times)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * dt)])
-        idx = np.searchsorted(self.dense_times, self.times)
-        idx = np.clip(idx, 0, len(cum) - 1)
-        return np.exp(cum[idx])
 
     def det_trace_gap(self) -> float:
         """|det Gamma(end) - exp(int tr Sigma dt)| with Simpson quadrature.
@@ -316,7 +282,7 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
     Y = np.concatenate([G, np.einsum("ikb,kjb->ijb", S, G)])
     X = np.concatenate([z[:, None], Y], axis=1)
     A = np.array([r.action for r in rays], dtype=float)
-    det, tr = _det_adj(G)[0], np.trace(S)
+    tr = np.trace(S)
     t0 = rays[0].t
 
     steps_arr = np.array(sorted(set(range(0, n_steps, store_stride)) | {n_steps}))
@@ -340,10 +306,9 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
             detk, adj = _det_adj(np.moveaxis(Xk[:, :d, 1:], 0, 2))
             trk = sum(Xk[:, d + i, 1 + j] * adj[j, i]
                       for i in range(d) for j in range(d)) / detk
-            det0 = np.concatenate([det[None], detk[:-1]])
-            tr0 = np.concatenate([tr[None], trk[:-1]])
+            rise = trk - np.concatenate([tr[None], trk[:-1]])
             ok = ((detk > CAUSTIC_DET) & np.isfinite(Xk[:, :, 0]).all(axis=1)
-                  & ~_dips_to_caustic(det0, detk, det0 * tr0, detk * trk, h))
+                  & (rise <= 1.0 / h))
             at = np.flatnonzero((steps_arr > done) & (steps_arr <= done + n))
             k = steps_arr[at] - done - 1
             Sk = (np.einsum("pikb,kjpb->pijb", Xk[k, d:, 1:], adj[:, :, k])
@@ -353,7 +318,7 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
 
         newly = (cut_step == n_steps) & ~ok.all(axis=0)
         cut_step[newly] = done + np.argmax(~ok[:, newly], axis=0)
-        X, A, det, tr = Xk[-1], Ak[-1], detk[-1], trk[-1]
+        X, A, tr = Xk[-1], Ak[-1], trk[-1]
         done += n
 
     dense_t = t0 + h * np.arange(n_steps + 1)
@@ -412,8 +377,11 @@ def quadratic_phase_evolve(phase0: QuadraticPhase, dt: float, T: float,
 
     This solves Sigma' = -Sigma^2 - diag(omega^2) + Omega (J^T Sigma +
     Sigma J), b' = -Sigma b + Omega J^T b, c' = -|b|^2/2 exactly.  The
-    ray's caustic is the Riccati blow-up: the trajectory stops there and
-    is flagged blown_up, with blowup_time the last time stored before it.
+    ray's caustic is the Riccati blow-up.  By the trace law tr Sigma' =
+    -tr Sigma^2 - sum_j omega_j^2, tr Sigma only falls before it, so the
+    first step over which tr Sigma rises by more than 1/h, or at whose end
+    det Gamma reaches CAUSTIC_DET, holds it.  The trajectory stops before
+    that step, flagged blown_up, with blowup_time its last stored time.
     """
     ray = integrate_ray(Ray.from_phase(np.zeros(phase0.dim), phase0), dt, T,
                         params, store_stride)

@@ -443,8 +443,13 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
 
 def compare_fields(path_a, path_b) -> dict[str, float]:
     """Norms of the difference of two saved fields, plus the
-    phase-insensitive L2 distance min over theta of ||A - e^{i theta} B||."""
+    phase-insensitive L2 distance min over theta of ||A - e^{i theta} B||.
+    Tagged fields must be of one kind, their tags' route prefix (nls, wkb
+    or hydro); untagged fields are not checked."""
     sa, sb = load_field(path_a), load_field(path_b)
+    if sa.tag and sb.tag and sa.tag.split("-")[0] != sb.tag.split("-")[0]:
+        raise ValueError(f"{path_a} holds a {sa.tag!r} field and {path_b} a "
+                         f"{sb.tag!r} field; compare needs two fields of one kind")
     if sa.grid != sb.grid:
         raise ValueError(f"header mismatch: {sa.grid.points} x {sa.grid.half_extent}"
                          f" vs {sb.grid.points} x {sb.grid.half_extent}")

@@ -414,6 +414,20 @@ def test_cli_zero_horizon_observes_the_start_once(tmp_path, command):
         assert len(rows) == 1
 
 
+def test_cli_ray_run_writes_no_row_past_the_focus(tmp_path):
+    # the default flat phase in the unit trap focuses every ray at pi/2;
+    # at dt = 0.05 the samples beside the focus sit far above the det floor
+    path = tmp_path / "rays.cfg"
+    path.write_text("[grid]\npoints = 32 32\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\noutdir = {tmp_path / 'o'}\nT = 2.0\ndt = 0.05\n"
+                    "stride = 1\n", encoding="utf-8")
+    assert cli.main(["run-rays", str(path)]) == 0
+    with open(tmp_path / "o" / "rays.csv", newline="") as fh:
+        last = {row["ray"]: float(row["t"]) for row in csv.DictReader(fh)}
+    assert len(last) == 5 ** 2
+    assert all(np.pi / 2 - 0.05 <= t < np.pi / 2 for t in last.values())
+
+
 def test_cli_maps_numerical_aborts_to_exit_3(tmp_path, capsys):
     # an affine carrier velocity jumps at the periodic seam and the
     # hydrodynamic route blows up there; the CLI reports it as status 3
@@ -494,6 +508,24 @@ def test_cli_compare_prints_the_metric_block(tmp_path, capsys):
                      str(tmp_path / "b.rsfw"), "--run.T=0.0"]) == 2
     assert cli.main(["compare", str(tmp_path / "a.rsfw"),
                      str(tmp_path / "missing.rsfw")]) == 2
+
+
+def test_cli_compare_refuses_two_kinds_of_field(tmp_path, capsys):
+    # psi at dt against psi at dt/2 compares; psi against a WKB amplitude
+    # on the same grid is a config error that names both files and tags
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "nls", "T = 0.05\ndt = 0.01\n")
+    for command, extra in (("run-nls", []), ("run-nls", ["--run.dt=0.005"]),
+                           ("run-wkb", [])):
+        out = tmp_path / f"{command}{len(extra)}"
+        assert cli.main([command, path, f"--run.outdir={out}"] + extra) == 0
+    psi, half, amp = (str(tmp_path / name / "final.rsfw")
+                      for name in ("run-nls0", "run-nls1", "run-wkb0"))
+    assert cli.main(["compare", psi, half]) == 0
+    capsys.readouterr()
+    assert cli.main(["compare", psi, amp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert all(name in err for name in (psi, amp, "'nls-final'", "'wkb-final'"))
 
 
 ROTATING = "[sim]\nOmega = 0.5\nomega = 1.0 1.5\n"
