@@ -21,8 +21,6 @@ from .snapshots import load_field
 _OVERRIDE = re.compile(r"^--([a-z]+\.[A-Za-z_0-9]+)=(.*)$")
 _SOLVER_OF = {"run-nls": "nls", "run-wkb": "wkb",
               "run-hydro": "hydro", "run-rays": "rays"}
-# run-wkb saves the amplitude a, not psi, under these tags and eps > 0
-_AMPLITUDE_TAGS = ("wkb-amplitude", "wkb-final")
 
 
 def _split_overrides(argv):
@@ -120,12 +118,13 @@ def _dispatch(ns: argparse.Namespace, overrides: dict[str, str]) -> int:
         records = []
         for path in ns.snapshots:
             snap = load_field(path)
-            if snap.tag in _AMPLITUDE_TAGS:
-                raise ConfigError(f"{path}: snapshot tag {snap.tag!r} marks a WKB "
-                                  f"amplitude; observables need a wavefunction field")
             if snap.eps <= 0:
                 raise ConfigError(f"{path}: snapshot has eps = {snap.eps}; "
                                   f"observables need a wavefunction field")
+            if snap.kind not in (None, "nls"):
+                raise ConfigError(f"{path}: snapshot tag {snap.tag!r} marks a "
+                                  f"{snap.kind} field; observables need a "
+                                  f"wavefunction field")
             if snap.grid.dim != cfg.sim.dim:
                 raise ConfigError(f"{path}: snapshot is {snap.grid.dim}d but "
                                   f"[sim].omega gives {cfg.sim.dim}d")

@@ -1,8 +1,10 @@
 """Experiment orchestration: single runs, epsilon sweeps, comparisons.
 
 run() executes one configured solver and leaves a self-describing
-directory behind: observables CSV, field snapshots, and a manifest
-listing every artifact with its checksum.  epsilon_sweep() drives the
+directory behind: observables CSV, the fields that one observer saves on
+every field route (the start, snapshots, the final state), or rays.csv
+and a caustic ledger for rays, and a manifest listing every artifact
+with its checksum.  epsilon_sweep() drives the
 semiclassical convergence study against an eps = 0 reference computed
 from the same initial data; the reference and each (eps, route) member
 run as independent tasks in worker processes, and the parent scores
@@ -18,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from hashlib import sha256
 from pathlib import Path
 
@@ -133,12 +136,6 @@ def build_ray_bundle(cfg: RunConfig) -> list[Ray]:
 
 # ---------- single runs ----------
 
-def _sha256_file(path: Path) -> str:
-    h = sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def _ray_csv(trajectories: list[RayTrajectory], dim: int) -> str:
     cols = ["ray", "t"]
     cols += [f"x{j + 1}" for j in range(dim)] + [f"p{j + 1}" for j in range(dim)]
@@ -166,6 +163,18 @@ def _evolve_fields(evolve, state0, cfg: RunConfig, observer):
         raise ConfigError(f"[run].dt: {exc}") from exc
 
 
+def _saved_field(state) -> tuple[np.ndarray, float, np.ndarray]:
+    """(values, eps, amplitude) of a field state: what run() saves of it,
+    and the field whose boundary modulus is the run's leak.  That is
+    (psi, eps, psi), (a, eps or 0, a) or (rho, 0, sqrt(rho))."""
+    if isinstance(state, WaveField):
+        return state.values, state.params.eps, state.values
+    if isinstance(state, WKBState):
+        a = state.amplitude()
+        return a, state.eps, a
+    return state.rho, 0.0, np.sqrt(state.rho)
+
+
 def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifact directory."""
     outdir = Path(cfg.outdir)
@@ -173,73 +182,55 @@ def run(cfg: RunConfig) -> RunResult:
     t_wall = time.perf_counter()
     records: list[ObservableRecord] = []
     artifacts: list[Path] = []
-    obs_count = 0
 
-    def observing(record_of, snapshot_of, tag):
-        def observer(t, state):
-            nonlocal obs_count
-            records.append(record_of(state))
-            if cfg.snapshot_stride > 0 and obs_count % cfg.snapshot_stride == 0:
-                path = outdir / f"snap_{obs_count:06d}.rsfw"
-                save_field(path, snapshot_of(state), state.grid, _eps_of(state),
-                           t, tag)
-                artifacts.append(path)
-            obs_count += 1
-        return observer
+    def save(name, state, tag):
+        values, eps, amplitude = _saved_field(state)
+        path = outdir / name
+        save_field(path, values, state.grid, eps, state.t, tag)
+        artifacts.append(path)
+        return amplitude
 
-    trajectories = None
+    # what differs between the field routes; march(observer=...) evolves state0
     if cfg.solver == "nls":
-        psi0 = build_wavefield(cfg)
-        _save_initial(outdir, psi0.values, cfg.grid, cfg.sim.eps, "nls", artifacts)
-        final = evolve_nls(psi0, T=cfg.T, dt=cfg.dt or NLS_DEFAULT_DT,
-                           observer=observing(record_from_wavefield,
-                                              lambda s: s.values, "nls"),
-                           observer_stride=cfg.stride)
-        final_values = final.values
+        state0, record_of, tag = build_wavefield(cfg), record_from_wavefield, "nls"
+        march = partial(evolve_nls, state0, T=cfg.T, dt=cfg.dt or NLS_DEFAULT_DT,
+                        observer_stride=cfg.stride)
     elif cfg.solver == "wkb":
-        state0 = build_wkb_state(cfg)
-        _save_initial(outdir, state0.amplitude(), cfg.grid, state0.eps,
-                      "wkb-amplitude", artifacts)
-        final = _evolve_fields(evolve_wkb, state0, cfg,
-                               observing(record_from_wkb, lambda s: s.amplitude(),
-                                         "wkb-amplitude"))
-        final_values = final.amplitude()
+        state0, record_of, tag = build_wkb_state(cfg), record_from_wkb, "wkb-amplitude"
+        march = partial(_evolve_fields, evolve_wkb, state0, cfg)
     elif cfg.solver == "hydro":
-        h0 = build_hydro_state(cfg)
-        _save_initial(outdir, h0.rho.astype(complex), cfg.grid, 0.0,
-                      "hydro-density", artifacts)
-        final = _evolve_fields(evolve_hydro, h0, cfg,
-                               observing(record_from_hydro,
-                                         lambda s: s.rho.astype(complex),
-                                         "hydro-density"))
-        final_values = final.rho.astype(complex)
+        state0, record_of, tag = build_hydro_state(cfg), record_from_hydro, "hydro-density"
+        march = partial(_evolve_fields, evolve_hydro, state0, cfg)
     elif cfg.solver == "rays":
         bundle = build_ray_bundle(cfg)
         trajectories = integrate_rays(bundle, dt=cfg.dt or RAYS_DEFAULT_DT,
                                       T=cfg.T, params=cfg.sim,
                                       store_stride=cfg.stride)
-        final = trajectories
-        final_values = None
+        final, leak = trajectories, None
         ray_path = outdir / "rays.csv"
         ray_path.write_text(_ray_csv(trajectories, cfg.grid.dim), encoding="utf-8")
         artifacts.append(ray_path)
+        cut = [traj.caustic_time for traj in trajectories if traj.caustic]
+        ledger = {"caustic_count": len(cut), "first_caustic_time": min(cut, default=None)}
     else:
         raise ConfigError(f"[run].solver: unknown solver {cfg.solver!r}")
 
-    if final_values is not None and cfg.T > 0:
-        path = outdir / "final.rsfw"
-        save_field(path, final_values, cfg.grid, _eps_of(final),
-                   getattr(final, "t", cfg.T), f"{cfg.solver}-final")
-        artifacts.append(path)
+    if cfg.solver != "rays":
+        save("initial.rsfw", state0, tag)
+
+        def observer(t, state):
+            if cfg.snapshot_stride > 0 and len(records) % cfg.snapshot_stride == 0:
+                save(f"snap_{len(records):06d}.rsfw", state, tag)
+            records.append(record_of(state))
+
+        final = march(observer=observer)
+        amplitude = (save("final.rsfw", final, f"{cfg.solver}-final") if cfg.T > 0
+                     else _saved_field(final)[2])
+        leak = boundary_max(amplitude)
 
     csv_path = outdir / "observables.csv"
     csv_path.write_text(records_to_csv(records), encoding="utf-8")
     artifacts.append(csv_path)
-
-    leak = None if final_values is None else float(boundary_max(final_values))
-    if cfg.solver == "hydro":
-        # the leak of the amplitude sqrt(rho), as of |psi| and |a| on the other routes
-        leak = math.sqrt(leak)
 
     manifest = {
         "solver": cfg.solver,
@@ -250,27 +241,16 @@ def run(cfg: RunConfig) -> RunResult:
         "wall_time_s": time.perf_counter() - t_wall,
         "boundary_leak": leak,
         "n_records": len(records),
-        "artifacts": {p.name: _sha256_file(p) for p in sorted(artifacts)},
+        "artifacts": {p.name: sha256(p.read_bytes()).hexdigest()
+                      for p in sorted(artifacts)},
     }
+    if cfg.solver == "rays":
+        manifest["ledger"] = ledger
     manifest_path = outdir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                              encoding="utf-8")
     return RunResult(config=cfg, outdir=outdir, records=records,
                      final=final, manifest=manifest)
-
-
-def _eps_of(state) -> float:
-    if isinstance(state, WaveField):
-        return state.params.eps
-    if isinstance(state, WKBState):
-        return state.eps
-    return 0.0
-
-
-def _save_initial(outdir: Path, values, grid, eps, tag, artifacts):
-    path = outdir / "initial.rsfw"
-    save_field(path, np.asarray(values, dtype=complex), grid, eps, 0.0, tag)
-    artifacts.append(path)
 
 
 # ---------- epsilon sweeps ----------
@@ -444,10 +424,10 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
 def compare_fields(path_a, path_b) -> dict[str, float]:
     """Norms of the difference of two saved fields, plus the
     phase-insensitive L2 distance min over theta of ||A - e^{i theta} B||.
-    Tagged fields must be of one kind, their tags' route prefix (nls, wkb
-    or hydro); untagged fields are not checked."""
+    Tagged fields must be of one kind (Snapshot.kind); untagged fields
+    are not checked."""
     sa, sb = load_field(path_a), load_field(path_b)
-    if sa.tag and sb.tag and sa.tag.split("-")[0] != sb.tag.split("-")[0]:
+    if sa.kind and sb.kind and sa.kind != sb.kind:
         raise ValueError(f"{path_a} holds a {sa.tag!r} field and {path_b} a "
                          f"{sb.tag!r} field; compare needs two fields of one kind")
     if sa.grid != sb.grid:

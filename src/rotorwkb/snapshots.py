@@ -30,6 +30,13 @@ class Snapshot:
     t: float
     tag: str | None = None
 
+    @property
+    def kind(self) -> str | None:
+        """The field's kind: its tag up to the first '-', which names the
+        route (nls, wkb or hydro) on every file that run() writes; None
+        when the file is untagged."""
+        return self.tag.split("-")[0] if self.tag else None
+
 
 def _check_eps_and_time(eps: float, t: float) -> None:
     if not (0 <= eps < math.inf and math.isfinite(t)):

@@ -14,7 +14,8 @@ import pytest
 import rotorwkb
 from rotorwkb import cli, hydro
 from rotorwkb.config import ConfigError, RunConfig, serialize
-from rotorwkb.core import GridSpec, Nonlinearity, NumericalAbort, SimParams
+from rotorwkb.core import (GridSpec, Nonlinearity, NumericalAbort, SimParams,
+                           boundary_max)
 from rotorwkb.runner import (SweepError, _worker_count, build_ray_bundle,
                              build_wavefield, build_wkb_state, compare_fields,
                              epsilon_sweep, run)
@@ -426,6 +427,24 @@ def test_cli_ray_run_writes_no_row_past_the_focus(tmp_path):
         last = {row["ray"]: float(row["t"]) for row in csv.DictReader(fh)}
     assert len(last) == 5 ** 2
     assert all(np.pi / 2 - 0.05 <= t < np.pi / 2 for t in last.values())
+    # the manifest says that a focus, not T, cut every ray, and when
+    ledger = json.loads((tmp_path / "o" / "manifest.json").read_text())["ledger"]
+    assert ledger["caustic_count"] == 5 ** 2
+    assert ledger["first_caustic_time"] == pytest.approx(1.55, abs=1e-12)
+
+
+def test_ray_ledger_of_a_bundle_that_meets_no_caustic(tmp_path):
+    # the rays-shoot data of the benchmark: every ray reaches T
+    path = tmp_path / "rays.cfg"
+    path.write_text("[sim]\neps = 0.25\nOmega = 0.5\nomega = 1.0 1.0\n"
+                    "[grid]\npoints = 64 64\nhalf_extent = 8.0 8.0\n"
+                    f"[run]\noutdir = {tmp_path / 'o'}\nT = 0.1\ndt = 0.0001\n"
+                    "stride = 100\nphase = quadratic\nsigma0 = 0.2 0.1 0.1 -0.1\n"
+                    "b0 = 0.3 -0.2\nc0 = 0.1\nrays_per_axis = 15\nrays_extent = 2.0\n",
+                    encoding="utf-8")
+    assert cli.main(["run-rays", str(path)]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["ledger"] == {"caustic_count": 0, "first_caustic_time": None}
 
 
 def test_cli_maps_numerical_aborts_to_exit_3(tmp_path, capsys):
@@ -574,6 +593,45 @@ def test_final_field_is_the_last_snapshot(tmp_path, command):
     final = load_field(tmp_path / "o" / "final.rsfw")
     assert (last.t, last.eps) == (final.t, final.eps)
     np.testing.assert_array_equal(last.values, final.values)
+
+
+FIELD_TAGS = {"run-nls": ("nls", "nls-final"), "run-wkb": ("wkb-amplitude", "wkb-final"),
+              "run-hydro": ("hydro-density", "hydro-final")}
+
+
+@pytest.mark.parametrize("command", sorted(FIELD_TAGS))
+def test_field_runs_tag_every_file_and_read_the_leak_off_the_amplitude(tmp_path, command):
+    # every file is of the route's kind, and the leak is the boundary
+    # max of |psi|, |a| or sqrt(rho) on the final field
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o",
+                     "T = 0.01\ndt = 0.005\nstride = 1\nsnapshot_stride = 1\nphase = zero\n"
+                     + ROTATING)
+    assert cli.main([command, path]) == 0
+    start, final = FIELD_TAGS[command]
+    fields = sorted((tmp_path / "o").glob("*.rsfw"))
+    assert len(fields) == 5
+    for field in fields:
+        snap = load_field(field)
+        assert snap.tag == (final if field.name == "final.rsfw" else start)
+        assert snap.kind == command.removeprefix("run-")
+    values = load_field(tmp_path / "o" / "final.rsfw").values
+    amplitude = np.sqrt(values.real) if command == "run-hydro" else np.abs(values)
+    leak = json.loads((tmp_path / "o" / "manifest.json").read_text())["boundary_leak"]
+    assert 0.0 < leak < 1.0
+    assert leak == boundary_max(amplitude)
+
+
+def test_cli_observables_scores_only_psi_fields(tmp_path, capsys):
+    # the tag's kind decides, whatever eps the header gives
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o")
+    grid = GridSpec.square(64, 4.0)
+    for tag, code in (("hydro-density", 2), ("wkb-final", 2), ("nls", 0), (None, 0)):
+        snap = tmp_path / f"{tag}.rsfw"
+        save_field(snap, np.ones(grid.shape), grid, 0.25, 0.0, tag)
+        assert cli.main(["observables", path, str(snap)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert str(snap) in err and repr(tag) in err
 
 
 def test_cli_observables_rejects_limit_snapshots(tmp_path, capsys):

@@ -14,16 +14,26 @@ import importlib.util
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from rotorwkb import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def test_every_trace_point_exists():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_trace_point_exists():
+    spans = load_spans()
     missing = []
     for where, attr, name in spans.TRACE_POINTS:
         module_name, _, class_name = where.partition(":")
@@ -46,3 +56,35 @@ def test_package_import_loads_no_pool_or_metadata_modules():
                          text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
     assert out.stdout.strip() == ""
+
+
+# 4 steps at stride 2 observe 3 states; snapshot_stride 1 saves each of
+# them, with the start and the final field: 5 files
+ROUTE_SPANS = {
+    "run-nls": {"runner.build_wavefield": 1, "nls.evolve_nls": 1,
+                "observables.record_from_wavefield": 3, "snapshots.save_field": 5},
+    "run-wkb": {"runner.build_wkb_state": 1, "hydro.evolve_wkb": 1,
+                "observables.record_from_wkb": 3, "snapshots.save_field": 5},
+    "run-hydro": {"runner.build_hydro_state": 1, "hydro.evolve_hydro": 1,
+                  "observables.record_from_hydro": 3, "snapshots.save_field": 5},
+    "run-rays": {"runner.build_ray_bundle": 1, "rays.integrate_rays": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(ROUTE_SPANS))
+def test_the_tracer_sees_every_layer_of_a_run(tmp_path, command):
+    # the tracer patches the names run() calls; a callable that run()
+    # bound before the patch would leave its layer without spans
+    path = tmp_path / "run.cfg"
+    path.write_text("[grid]\npoints = 32 32\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\noutdir = {tmp_path / 'o'}\nT = 0.02\ndt = 0.005\n"
+                    "stride = 2\nsnapshot_stride = 1\n", encoding="utf-8")
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert cli.main([command, str(path)]) == 0
+    finally:
+        tracer.restore()
+    counts = Counter(span["name"] for span in tracer.spans)
+    assert counts["runner.run"] == 1
+    assert {name: counts[name] for name in ROUTE_SPANS[command]} == ROUTE_SPANS[command]

@@ -22,7 +22,7 @@ def test_round_trip_bit_exact(tmp_path):
     assert snap.grid == grid
     assert snap.eps == 0.1 + 1e-17
     assert snap.t == 2.0 / 3.0
-    assert snap.tag == "probe"
+    assert snap.tag == "probe" and snap.kind == "probe"
 
 
 def test_round_trip_3d(tmp_path):
@@ -34,6 +34,7 @@ def test_round_trip_3d(tmp_path):
     snap = load_field(path)
     np.testing.assert_array_equal(snap.values, values)
     assert snap.grid.dim == 3
+    assert snap.tag is None and snap.kind is None
 
 
 def test_truncated_payload_rejected(tmp_path):
