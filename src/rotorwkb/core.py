@@ -156,8 +156,13 @@ def time_grid(T: float, dt: float) -> tuple[int, float]:
     validated; a relative slack of 1e-9 keeps T / dt steps when T is a
     multiple of dt up to roundoff (h then exceeds dt by that roundoff
     at most).  T = 0 gives no step and h = dt, so a caller can still
-    build its step operators.
+    build its step operators.  Every march reads (T, dt) here, so this
+    is the one check that T is finite and >= 0 and dt finite and > 0.
     """
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError(f"duration T must be nonnegative and finite, got {T}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     n = math.ceil(T / dt * (1.0 - 1e-9))
     return n, T / n if n else dt
 

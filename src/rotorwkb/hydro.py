@@ -558,8 +558,6 @@ def _resolve_dt(state0, dt, context: str):
     if dt is None:
         # half the advective bound leaves headroom for drift growth mid-run
         return min(0.5 * adv, 0.9 * disp, 0.01)
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if dt > adv or dt > disp:
         raise StepBoundError(
             f"{context}: dt = {dt:.4g} violates the step bounds "
@@ -579,8 +577,6 @@ def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
     supplied dt violating them is rejected.  Raises NumericalAbort,
     before any step, if the drift phase reaches a caustic before T.
     """
-    if T < 0:
-        raise ValueError(f"duration T must be nonnegative, got {T}")
     grid, params, eps = state0.grid, state0.params, state0.eps
     n_steps, h = time_grid(T, _resolve_dt(state0, dt, "evolve_wkb"))
     path = quadratic_phase_evolve(state0.drift, 0.5 * h, T, params)
@@ -620,8 +616,6 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     belongs to evolve_wkb, which transports the affine part in closed
     form and differentiates only the decaying remainder.
     """
-    if T < 0:
-        raise ValueError(f"duration T must be nonnegative, got {T}")
     grid, params = h0.grid, h0.params
     pts = np.stack(grid.meshes, axis=-1)
     force = np.moveaxis(potential_gradient(pts, params.omega), -1, 0)

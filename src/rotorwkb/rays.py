@@ -32,12 +32,11 @@ from -1/delta1 to +1/delta2, delta1 + delta2 <= h), even where det Gamma
 stays above the floor at both ends, as at an isotropic focus (det Gamma
 = cos^2 t touches zero); the 1/h margin keeps roundoff rises out.
 
-A globally quadratic phase S = x.Sigma x/2 + b.x + c stays quadratic;
-quadratic_phase_evolve reads its coefficients off the ray launched from
-x = 0, and that path supplies the WKB drift field exactly.
-eval_phase_general reads S, grad S and Hess S at one point off the ray
-launched from that point, by a Taylor expansion about where it lands
-that is exact for the quadratic.
+A globally quadratic phase S = x.Sigma x/2 + b.x + c stays quadratic
+(Carles, CMP 269:195, 2007); quadratic_phase_evolve reads its
+coefficients off the ray launched from x = 0.  That one path supplies
+the WKB drift field exactly, and eval_phase_general reads S, grad S and
+Hess S at any point off the quadratic it carries to t.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class CausticError(RuntimeError):
 
 
 class ShootingError(RuntimeError):
-    """Phase evaluation was requested at a focal time of the landing map."""
+    """Phase evaluation was requested at a focal time of the transported phase."""
 
 
 # ---------- phase descriptions ----------
@@ -238,10 +237,6 @@ class RayTrajectory:
             total += 0.5 * h * (f[n - 1] + f[n])
         return float(abs(_det_adj(self.gamma[-1])[0] - np.exp(total)))
 
-    def final(self) -> Ray:
-        return Ray(self.x[-1], self.p[-1], self.sigma[-1], self.gamma[-1],
-                   float(self.action[-1]), float(self.times[-1]))
-
 
 def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
                    store_stride: int = 1):
@@ -260,8 +255,6 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
     arrays stay small: at 4x that budget the peak memory of a 225-ray,
     1000-step march rose by 4 MB, at 16x by 25 MB.
     """
-    if dt <= 0 or T < 0:
-        raise ValueError(f"need dt > 0 and T >= 0, got dt={dt}, T={T}")
     if store_stride < 1:
         raise ValueError(f"store_stride must be >= 1, got {store_stride}")
     B = len(rays)
@@ -398,43 +391,26 @@ def quadratic_phase_evolve(phase0: QuadraticPhase, dt: float, T: float,
 
 def eval_phase_general(t: float, x_target: Sequence[float], phase_in: QuadraticPhase,
                        params: SimParams, dt: float = 1e-3):
-    """Phase value, gradient, Hessian at (t, x_target), read off one ray.
+    """Phase value, gradient, Hessian at (t, x_target), read off the quadratic.
 
-    The launch phase is quadratic and the ray flow linear, so S(t, .)
-    is the quadratic with Hessian Sigma(t) about any point it reaches.
-    The ray launched from x_target lands at x1 with action s1, momentum
-    p1 and Hessian Sigma; with r = x_target - x1,
+    The quadratic that quadratic_phase_evolve carries to t is S(t, .),
+    exact at every point.  All rays launched from it share Gamma(t), so
+    one caustic test serves every target.
 
-        S = s1 + p1.r + r.Sigma r/2,   grad S = p1 + Sigma r,   Hess S = Sigma.
-
-    Returns (S, grad S, Hess S).  Raises CausticError if the ray crosses
-    a caustic before its last step, and ShootingError if it meets one
-    inside the last step: t is then a focal time, where the landing map
-    is singular.
+    Returns (S, grad S, Hess S).  Raises CausticError if the flow
+    crosses a caustic before its last step, and ShootingError if it
+    meets one inside the last step: t is then a focal time, where Hess S
+    is unbounded.
     """
     if not isinstance(phase_in, QuadraticPhase):
         raise TypeError(f"phase_in must be a QuadraticPhase, got {type(phase_in).__name__}")
-    x_target = np.asarray(x_target, dtype=float)
-    if t == 0.0:
-        return (float(phase_in.value(x_target)), phase_in.gradient(x_target),
-                phase_in.hessian(x_target))
-
-    n_steps = time_grid(t, dt)[0]
-
-    def land(x0: np.ndarray) -> Ray:
-        traj = integrate_ray(Ray.from_phase(x0, phase_in), dt, t, params,
-                             store_stride=n_steps)
-        if traj.caustic and len(traj.dense_times) == n_steps:
-            raise ShootingError(
-                f"ray from {x0.tolist()} focuses within one step of t = {t:.6g}; "
-                f"the landing map is singular there")
-        if traj.caustic:
-            raise CausticError(
-                f"ray from {x0.tolist()} hits a caustic at t = {traj.caustic_time:.6g} "
-                f"before reaching t = {t:.6g}")
-        return traj.final()
-
-    ray = land(x_target)
-    r = x_target - ray.x
-    Sr = ray.sigma @ r
-    return float(ray.action + ray.p @ r + 0.5 * r @ Sr), ray.p + Sr, ray.sigma
+    n_steps, h = time_grid(t, dt)
+    path = quadratic_phase_evolve(phase_in, dt, t, params, store_stride=max(1, n_steps))
+    if path.blown_up and path.blowup_time == (n_steps - 1) * h:
+        raise ShootingError(f"the phase focuses within one step of t = {t:.6g}, "
+                            f"where its Hessian is unbounded")
+    if path.blown_up:
+        raise CausticError(f"the phase hits a caustic at t = {path.blowup_time:.6g} "
+                           f"before reaching t = {t:.6g}")
+    phase = path.final()
+    return float(phase.value(x_target)), phase.gradient(x_target), phase.Sigma

@@ -3,8 +3,10 @@
 Layout: the magic bytes "RSFW1\\n", one ASCII header line, then the raw
 samples.  The header holds, space separated: dim, the point count per
 axis, the half extent per axis, eps, and the time, with floats printed
-in shortest round-trip form; real field components carry one extra tag
-token (e.g. "v1").  Samples follow in row-major order as little-endian
+in shortest round-trip form; a tagged field carries one extra token.
+run() writes six tags: "nls", "nls-final", "wkb-amplitude", "wkb-final",
+"hydro-density" and "hydro-final"; Snapshot.kind reads the route before
+the first '-'.  Samples follow in row-major order as little-endian
 float64 (re, im) pairs, which is exactly a C-contiguous complex128
 buffer, so a write/read cycle is bit identical.
 """

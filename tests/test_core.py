@@ -211,6 +211,42 @@ def test_every_marcher_rejects_a_stride_below_one(stride):
     assert seen == []
 
 
+@pytest.mark.parametrize("T, dt", [(1.0, 0.0), (1.0, np.nan), (1.0, np.inf),
+                                   (-1.0, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3)])
+def test_every_march_rejects_a_bad_time_grid(T, dt):
+    # core.time_grid is the one check of (T, dt) for every march
+    from rotorwkb.core import time_grid
+    from rotorwkb.hydro import HydroState, WKBState, evolve_hydro, evolve_wkb
+    from rotorwkb.nls import evolve_nls
+    from rotorwkb.rays import QuadraticPhase, Ray, eval_phase_general, integrate_rays
+
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.3))
+    grid = GridSpec.square(16, 4.0)
+    a0 = make_gaussian(grid)
+    phase = QuadraticPhase(np.array([[0.2, 0.1], [0.1, -0.1]]), np.array([0.1, -0.05]))
+    seen = []
+
+    def observer(t, state):
+        seen.append(t)
+
+    marches = (
+        lambda: evolve_nls(WaveField(a0, 0.0, grid, params), T, dt, observer),
+        lambda: evolve_wkb(WKBState.from_amplitude(a0, grid, params), T, dt, observer),
+        lambda: evolve_hydro(HydroState(a0 * a0, np.zeros((2,) + grid.shape), 0.0,
+                                        grid, params), T, dt, observer),
+        lambda: integrate_rays([Ray.from_phase((0.5, 0.1), phase)], dt, T, params),
+        lambda: eval_phase_general(T, (0.3, 0.2), phase, params, dt),
+    )
+    for march in marches:
+        with pytest.raises(ValueError):
+            march()
+    assert seen == []
+    phrase = ("dt must be positive" if np.isfinite(T) and T >= 0
+              else "duration T must be nonnegative")
+    with pytest.raises(ValueError, match=phrase):
+        time_grid(T, dt)
+
+
 # ---------- grids ----------
 
 

@@ -17,9 +17,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rotorwkb import cli
+from rotorwkb import QuadraticPhase, SimParams, cli, rays
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -88,3 +89,21 @@ def test_the_tracer_sees_every_layer_of_a_run(tmp_path, command):
     counts = Counter(span["name"] for span in tracer.spans)
     assert counts["runner.run"] == 1
     assert {name: counts[name] for name in ROUTE_SPANS[command]} == ROUTE_SPANS[command]
+
+
+def test_each_shot_lands_one_ray_under_the_tracer():
+    # rays.shoot.landings_per_target counts the rays.integrate_ray children
+    # of each rays.eval_phase_general span
+    params = SimParams(eps=0.25, Omega=1.0, omega=(1.3, 0.7))
+    phase0 = QuadraticPhase(np.array([[0.2, 0.1], [0.1, -0.1]]),
+                            np.array([0.1, -0.05]), 0.2)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for x in ((0.7, -0.4), (-1.2, 0.3)):
+            rays.eval_phase_general(0.3, x, phase0, params)
+    finally:
+        tracer.restore()
+    shots = [s["id"] for s in tracer.spans if s["name"] == "rays.eval_phase_general"]
+    landings = Counter(s["parent"] for s in tracer.spans if s["name"] == "rays.integrate_ray")
+    assert len(shots) == 2 and landings == Counter(shots)

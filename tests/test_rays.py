@@ -3,10 +3,11 @@
 Closed-form oracles: with no trap the flow is a rotating free streaming
 x(t) = R(Omega t)(x0 + t p0); the isotropic unit trap with flat initial
 phase gives Sigma(t) = -tan(t) I, Gamma(t) = cos(t) I, and action
-s(t) = -|x0|^2 sin(2t)/4 along each ray.  The phase read off one ray
-at a point is checked against the closed form for isotropic data,
-against the transported quadratic phase and against the eikonal
-equation via a five-point time difference.
+s(t) = -|x0|^2 sin(2t)/4 along each ray.  The phase read at a point
+is checked against the closed form for isotropic data, against the
+transported quadratic phase, against forward rays in 2d and 3d (S(t,
+x(t)) = s(t) along each) and against the eikonal equation via a
+five-point time difference.
 """
 
 import numpy as np
@@ -362,8 +363,30 @@ def test_shot_phase_matches_transported_quadratic_phase():
     np.testing.assert_allclose(hess, ref.Sigma, atol=1e-7)
 
 
+@pytest.mark.parametrize("omega", [(1.0, 1.4), (1.0, 1.3, 0.8)], ids=["2d", "3d"])
+@pytest.mark.parametrize("Omega", [0.5, 1.2])
+@pytest.mark.parametrize("t", [0.3, 0.9])
+def test_shot_phase_matches_forward_rays(omega, Omega, t):
+    # method of characteristics: S(t, x(t)) = s(t), grad S = p and Hess S
+    # = Sigma at the landing point of every forward ray
+    d = len(omega)
+    params = SimParams(eps=0.25, Omega=Omega, omega=omega)
+    rng = np.random.default_rng(d)
+    A = rng.uniform(-0.15, 0.15, (d, d))  # focuses after t = 1 in all four flows
+    phase0 = QuadraticPhase(A + A.T, rng.uniform(-0.5, 0.5, d), 0.2)
+    starts = rng.uniform(-1.0, 1.0, (6, d))
+    starts *= rng.uniform(0.5, 3.0, (6, 1)) / np.linalg.norm(starts, axis=1, keepdims=True)
+    for traj in integrate_rays([Ray.from_phase(x0, phase0) for x0 in starts],
+                               1e-3, t, params):
+        assert not traj.caustic
+        val, grad, hess = eval_phase_general(t, traj.x[-1], phase0, params)
+        for got, want in ((val, traj.action[-1]), (grad, traj.p[-1]),
+                          (hess, traj.sigma[-1])):
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_shot_phase_needs_a_quadratic_launch_phase():
-    # the reading about the landing point is exact only for a quadratic
+    # only a quadratic launch phase stays quadratic under the ray flow
     class Quartic:
         def value(self, x):
             return 0.25 * float(np.asarray(x) @ np.asarray(x)) ** 2
