@@ -11,9 +11,10 @@ x_perp = (x2, -x1).  In 3d the rotation acts in the (x1, x2) plane only.
 
 This module owns the parameter and field containers, the periodic grid,
 WKB assembly psi = a exp(i Phi / eps), reference initial data, spectral
-derivatives, Sobolev-type norms, and the time grid every marcher
-shares.  Field containers are immutable after construction, and they
-and the parameters pickle, so they cross into worker processes.
+derivatives, Sobolev-type norms, the time grid every marcher shares, and
+the turn of a field sampled in a rotating frame back to the lab grid.
+Field containers are immutable after construction, and they and the
+parameters pickle, so they cross into worker processes.
 """
 
 from __future__ import annotations
@@ -157,13 +158,17 @@ def time_grid(T: float, dt: float) -> tuple[int, float]:
     multiple of dt up to roundoff (h then exceeds dt by that roundoff
     at most).  T = 0 gives no step and h = dt, so a caller can still
     build its step operators.  Every march reads (T, dt) here, so this
-    is the one check that T is finite and >= 0 and dt finite and > 0.
+    is the one check that T is finite and >= 0, dt finite and > 0, and
+    T / dt finite.
     """
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"duration T must be nonnegative and finite, got {T}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    n = math.ceil(T / dt * (1.0 - 1e-9))
+    ratio = T / dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"T / dt is not finite: T = {T}, dt = {dt}")
+    n = math.ceil(ratio * (1.0 - 1e-9))
     return n, T / n if n else dt
 
 
@@ -254,11 +259,34 @@ def integrate(values: np.ndarray, grid: GridSpec) -> float | complex:
     return grid.cell * values.sum()
 
 
-def potential_grid(grid: GridSpec, omega: Sequence[float]) -> np.ndarray:
+def turn_plane(components, angle: float):
+    """R(angle) applied to the (x1, x2) components of a stacked vector
+    field: (c u1 - s u2, s u1 + c u2[, u3]), a counterclockwise turn.
+    At angle 0 the components come back as they are."""
+    if not angle:
+        return components
+    c, s = math.cos(angle), math.sin(angle)
+    u1, u2 = components[0], components[1]
+    return (c * u1 - s * u2, s * u1 + c * u2) + tuple(components[2:])
+
+
+def potential_grid(grid: GridSpec, omega: Sequence[float],
+                   angle: float = 0.0) -> np.ndarray:
+    """Trap potential at the lab points R(angle) x of the nodes x."""
     w2 = np.asarray(omega, dtype=float) ** 2
     out = np.zeros(grid.shape)
-    for j, X in enumerate(grid.meshes):
+    for j, X in enumerate(turn_plane(grid.meshes, angle)):
         out += 0.5 * w2[j] * X * X
+    return out
+
+
+def expi(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) of a real array, built as cos theta + i sin theta in
+    one complex buffer: the bits of np.exp on the imaginary argument
+    without its complex temporaries."""
+    out = np.empty(np.shape(theta), dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
     return out
 
 
@@ -302,18 +330,71 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _shear(values: np.ndarray, mult: np.ndarray, axis: int) -> None:
+    """Multiply the FFT of values along one axis by mult, in place."""
+    np.fft.fft(values, axis=axis, out=values)
+    values *= mult
+    np.fft.ifft(values, axis=axis, out=values)
+
+
+def turn_field(values: np.ndarray, grid: GridSpec, angle: float) -> np.ndarray:
+    """Samples at the nodes x of the field f(R(-angle) x): f turned
+    counterclockwise by angle in the (x1, x2) plane.  A field sampled at
+    angle a (WaveField.angle) turned by a - b is the same field at angle
+    b; turned by a, it is back on the lab grid.
+
+    The angle is reduced to [-pi, pi].  Beyond pi/2 the exact flip
+    x -> -x of the plane takes pi off it.  The rest, a, is turned in
+    n = ceil(|a| / (pi/4)) equal parts b = a / n, each
+    R(-b) = Sx(tan(b/2)) Sy(-sin b) Sx(tan(b/2)): three one-axis shears
+    f(x) -> f(S x), each a Fourier multiplier along its axis (Unser,
+    Thevenaz & Yaroslavsky, IEEE TIP 4:1371, 1995).  The shears run as a
+    palindrome, so a turn by -angle undoes a turn by angle to roundoff.
+    A shear by tau widens the spectrum across it by tau k; with
+    |b| <= pi/4 that is at most 0.41 k, where one turn by 1.2 rad
+    (0.68 k) aliased a resolved 128^2 Gaussian packet at 1e-6.
+    """
+    a = math.remainder(angle, 2.0 * math.pi)
+    if abs(a) > 0.5 * math.pi:
+        # node j sits at -L + j h, and -x of it is node (N - j) mod N
+        out = np.roll(np.flip(values, axis=(0, 1)), 1, axis=(0, 1))
+        a -= math.copysign(math.pi, a)
+    else:
+        out = np.array(values)
+    turns = math.ceil(abs(a) / (0.25 * math.pi))
+    if not turns:
+        return out
+    b = a / turns
+    plane = (grid.points[0], grid.points[1]) + (1,) * (grid.dim - 2)
+    (k1, k2), (x1, x2) = grid.wavenumbers[:2], grid.axes[:2]
+    # f(x1 + tan(b/2) x2, x2) and f(x1, x2 - sin(b) x1)
+    along1 = expi(np.multiply.outer(k1, math.tan(0.5 * b) * x2)).reshape(plane)
+    along2 = expi(np.multiply.outer(-math.sin(b) * x1, k2)).reshape(plane)
+    for _ in range(turns):
+        _shear(out, along1, 0)
+        _shear(out, along2, 1)
+        _shear(out, along1, 0)
+    return out
+
+
 @dataclass(frozen=True)
 class WaveField:
     """Complex wavefunction sampled on a grid at one instant.
 
-    The sample array is copied in and marked read-only, so a WaveField
-    can be handed to other threads or kept in trajectory lists safely.
+    The samples are psi at the lab points R(angle) x of the nodes x,
+    R(angle) the counterclockwise turn of the (x1, x2) plane: angle 0,
+    the default, is the lab grid, and the NLS march hands out its states
+    at the angle Omega t of its rotating frame.  `lab` is the same field
+    at angle 0.  The sample array is copied in and marked read-only, so
+    a WaveField can be handed to other threads or kept in trajectory
+    lists safely.
     """
 
     values: np.ndarray
     t: float
     grid: GridSpec
     params: SimParams
+    angle: float = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -324,7 +405,16 @@ class WaveField:
 
     def __reduce__(self):
         # through the constructor, so the unpickled samples are read-only too
-        return WaveField, (self.values, self.t, self.grid, self.params)
+        return WaveField, (self.values, self.t, self.grid, self.params, self.angle)
+
+    @cached_property
+    def lab(self) -> "WaveField":
+        """This field at angle 0: psi at the nodes themselves.  Turned
+        once per state, by turn_field; at angle 0 it is this field."""
+        if not self.angle:
+            return self
+        return WaveField(turn_field(self.values, self.grid, self.angle), self.t,
+                         self.grid, self.params)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2

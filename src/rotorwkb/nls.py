@@ -1,102 +1,108 @@
-"""Time-splitting spectral solver for the rotating semiclassical equation.
+"""Time-splitting spectral solver for the rotating semiclassical equation,
+marched in the rotating frame.
 
-One Strang step is the palindrome
+The rotation term i eps Omega (x_perp . grad) psi generates a rigid
+rotation, and it commutes with the kinetic term and with any local
+nonlinearity.  So with x = R(Omega t) y, R the counterclockwise turn of
+the (x1, x2) plane, it drops out exactly: the frame field
+psi~(y, t) = psi(R(Omega t) y, t) solves the plain equation
 
-    P(dt/2) K1(dt/2) K2(dt) K1(dt/2) P(dt/2)
+    i eps d_t psi~ = -(eps^2/2) Lap psi~ + V(R(Omega t) y) psi~ + f(|psi~|^2) psi~
 
-where P is the pointwise potential plus nonlinearity phase rotation and
-K1, K2 are kinetic-plus-rotation substeps, each solved exactly in
-Fourier space along a single axis (SplitStepPlan.step applies the
-palindrome to a bare sample array):
+(Bao, Marahrens, Tang & Zhang, SIAM J. Sci. Comput. 35:A2671, 2013).
+One Strang step from t to t + dt is the palindrome
 
-    K1:  i eps d_t psi = -(eps^2/2) d11 psi + i eps Omega x2 d1 psi
-    K2:  i eps d_t psi = -(eps^2/2) d22 psi - i eps Omega x1 d2 psi
+    P_t(dt/2) K(dt) P_{t+dt}(dt/2)
 
-The rotation term is linear in the transform variable along its own
-axis, so each substep is a diagonal unit-modulus multiplier: every
-substep conserves the discrete L^2 mass to machine precision, and P
-leaves |psi| pointwise invariant.  In 3d the plain z-kinetic factor
-rides along with K1.
+where P_t is the pointwise phase rotation by V(R(Omega t) y) plus the
+nonlinearity, and K multiplies the full FFT by exp(-i eps dt |k|^2 / 2),
+one fftn/ifftn pair in 2d and 3d (SplitStepPlan.step applies the
+palindrome to a bare sample array).  Both factors have unit modulus, so
+every substep conserves the discrete L^2 mass to machine precision, and
+P leaves |psi| pointwise invariant.  When omega1 = omega2 the turn
+leaves V unchanged and P's potential is built once; otherwise each P
+builds it from three cached products of the frame nodes.
 
 evolve_nls applies one P per step: the P(dt/2) that closes step n and
-the P(dt/2) that opens step n+1 act on the same modulus, so their phases
-add and they merge into one P(dt).  A march of n steps is then
+the P(dt/2) that opens step n+1 act on the same modulus with the same
+potential, so their phases add and they merge into one P(dt).  A march
+of n steps is then
 
-    P(dt/2) (K P(dt))^(n-1) K P(dt/2),    K = K1(dt/2) K2(dt) K1(dt/2),
+    P(dt/2) (K P(dt))^(n-1) K P(dt/2),
 
 equal to n palindromes up to roundoff.  The march splits P(dt) back into
 two halves only after a step the observer sees and after the last step,
 so every observed state and the final state are the plain palindrome's.
+
+The frame is the lab at t = 0: a state at time t is held at the angle
+Omega t (WaveField.angle; its samples are psi at the lab points
+R(angle) y of the nodes y), and psi0 is turned to Omega t0 first when
+it is not there already.  Observers receive the frame states as they
+are: records read them in the frame (observables.record_from_wavefield),
+and a caller that needs lab samples reads WaveField.lab, which turns
+the state back by one-axis Fourier shears (core.turn_field).  evolve_nls
+returns its final state at angle 0, turned back once.  A march backward
+from it first turns it to its frame angle, the exact inverse of that
+turn, so it retraces the forward march to roundoff.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
-from .core import (GridSpec, NumericalAbort, SimParams, WaveField, potential_grid,
-                   time_grid)
-
-
-def _k1_multiplier(grid: GridSpec, params: SimParams, dt: float) -> np.ndarray:
-    """exp(-i dt (eps (k1^2 [+ k3^2])/2 - Omega x2 k1)), FFT along axis 0 (and 2)."""
-    k1 = grid.wavenumber_mesh(0)
-    x2 = grid.axes[1].reshape((1, -1) + (1,) * (grid.dim - 2))
-    sym = 0.5 * params.eps * k1 ** 2 - params.Omega * x2 * k1
-    if grid.dim == 3:
-        sym = sym + 0.5 * params.eps * grid.wavenumber_mesh(2) ** 2
-    return np.exp(-1j * dt * sym)
-
-def _k2_multiplier(grid: GridSpec, params: SimParams, dt: float) -> np.ndarray:
-    """exp(-i dt (eps k2^2/2 + Omega x1 k2)), FFT along axis 1."""
-    k2 = grid.wavenumber_mesh(1)
-    x1 = grid.axes[0].reshape((-1,) + (1,) * (grid.dim - 1))
-    sym = 0.5 * params.eps * k2 ** 2 + params.Omega * x1 * k2
-    return np.exp(-1j * dt * sym)
-
-_K1_AXES = {2: (0,), 3: (0, 2)}
-
-
-def _kinetic(values: np.ndarray, mult: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    spec = np.fft.fftn(values, axes=axes)
-    spec *= mult
-    return np.fft.ifftn(spec, axes=axes)
+from .core import (GridSpec, NumericalAbort, SimParams, WaveField, expi, potential_grid,
+                   time_grid, turn_field)
 
 
 def _potential_nonlinear(values: np.ndarray, potential: np.ndarray,
                          params: SimParams, dt: float) -> np.ndarray:
-    """values * exp(i theta), theta = -dt (V + f(|values|^2)) / eps.
-
-    The factor is built as cos theta + i sin theta in one complex buffer,
-    the same bits as np.exp on the imaginary argument without its
-    complex temporaries.
-    """
+    """values * exp(i theta), theta = -dt (V + f(|values|^2)) / eps."""
     rho = values.real ** 2 + values.imag ** 2
     theta = potential + params.nonlinearity.f(rho)
     theta *= -dt / params.eps
-    out = np.empty_like(values)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+    out = expi(theta)
     out *= values
     return out
 
 
 class SplitStepPlan:
-    """Precomputed multipliers for repeated Strang steps at a fixed dt."""
+    """The kinetic multiplier and the frame potential of repeated Strang
+    steps at a fixed dt."""
 
     def __init__(self, grid: GridSpec, params: SimParams, dt: float):
-        if dt == 0:
-            raise ValueError("dt must be nonzero")
         self.params = params
         self.dt = dt
-        self.k1_half = _k1_multiplier(grid, params, 0.5 * dt)
-        self.k2_full = _k2_multiplier(grid, params, dt)
-        self.potential = potential_grid(grid, params.omega)
-        self.k1_axes = _K1_AXES[grid.dim]
+        self.turn = params.Omega * dt   # frame angle swept by one step
+        k2 = sum(grid.wavenumber_mesh(axis) ** 2 for axis in range(grid.dim))
+        self.kinetic = expi(k2 * (-0.5 * params.eps * dt))
+        self._products = None
+        if params.omega[0] == params.omega[1]:
+            self._potential = potential_grid(grid, params.omega)
+        else:
+            x1, x2 = grid.axes[0], grid.axes[1]
+            x1 = x1.reshape((-1,) + (1,) * (grid.dim - 1))
+            x2 = x2.reshape((1, -1) + (1,) * (grid.dim - 2))
+            self._products = (x1 * x1, x2 * x2, x1 * x2)
+            self._axial = (potential_grid(grid, (0.0, 0.0) + params.omega[2:])
+                           if grid.dim == 3 else None)
 
-    def step(self, values: np.ndarray, lead: bool = True, join: bool = False) -> np.ndarray:
-        """One Strang step on a bare sample array.
+    def potential(self, angle: float) -> np.ndarray:
+        """V(R(angle) y) at the frame nodes y."""
+        if self._products is None:
+            return self._potential
+        w1, w2 = self.params.omega[0] ** 2, self.params.omega[1] ** 2
+        c, s = math.cos(angle), math.sin(angle)
+        sq1, sq2, cross = self._products
+        V = (0.5 * (w1 * c * c + w2 * s * s)) * sq1 + (0.5 * (w1 * s * s + w2 * c * c)) * sq2
+        V += (c * s * (w2 - w1)) * cross
+        return V if self._axial is None else V + self._axial
+
+    def step(self, values: np.ndarray, angle: float, lead: bool = True,
+             join: bool = False) -> np.ndarray:
+        """One Strang step on a bare sample array at frame angle `angle`.
 
         The defaults give the palindrome.  join=True closes with P(dt),
         this step's closing half merged with the next step's opening
@@ -104,11 +110,11 @@ class SplitStepPlan:
         """
         half = 0.5 * self.dt
         if lead:
-            values = _potential_nonlinear(values, self.potential, self.params, half)
-        values = _kinetic(values, self.k1_half, self.k1_axes)
-        values = _kinetic(values, self.k2_full, (1,))
-        values = _kinetic(values, self.k1_half, self.k1_axes)
-        return _potential_nonlinear(values, self.potential, self.params,
+            values = _potential_nonlinear(values, self.potential(angle), self.params, half)
+        spec = np.fft.fftn(values)
+        spec *= self.kinetic
+        values = np.fft.ifftn(spec, out=spec)
+        return _potential_nonlinear(values, self.potential(angle + self.turn), self.params,
                                     self.dt if join else half)
 
 
@@ -122,8 +128,9 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     takes none.  Adjacent P halves are merged into one P(dt) except
     around an observed step (module docstring).  The observer, when
     given, is called at t = 0, every observer_stride steps, and at the
-    final time.  Non-finite samples abort the run with the offending
-    step index.
+    final time, with the frame state at angle Omega t.  The returned
+    state is at angle 0.  Non-finite samples abort the run with the
+    offending step index.
     """
     if observer_stride < 1:
         raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
@@ -131,22 +138,26 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     n_steps, h = time_grid(T, abs(dt))
     h = h if dt > 0 else -h
     plan = SplitStepPlan(psi0.grid, psi0.params, h)
-    values = np.array(psi0.values)
-    t = psi0.t
+    Omega = psi0.params.Omega
+    values = (np.array(psi0.values) if psi0.angle == Omega * psi0.t
+              else turn_field(psi0.values, psi0.grid, psi0.angle - Omega * psi0.t))
+    state = psi0
 
     if observer is not None:
-        observer(t, psi0)
+        observer(psi0.t, psi0)
     lead = True
     for step in range(1, n_steps + 1):
         observed = observer is not None and (step % observer_stride == 0
                                              or step == n_steps)
         join = step < n_steps and not observed
-        values = plan.step(values, lead=lead, join=join)
+        values = plan.step(values, Omega * (psi0.t + (step - 1) * h), lead=lead, join=join)
         lead = not join
         t = psi0.t + step * h
         if not np.isfinite(values).all():
             raise NumericalAbort(
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
+        if observed or step == n_steps:
+            state = WaveField(values, t, psi0.grid, psi0.params, Omega * t)
         if observed:
-            observer(t, WaveField(values, t, psi0.grid, psi0.params))
-    return WaveField(values, t, psi0.grid, psi0.params)
+            observer(t, state)
+    return state.lab

@@ -9,7 +9,10 @@ the energy E = int kin + V rho + G(rho) dx + Omega m_eps.  A
 wavefunction gives rho = |psi|^2, J = eps Im(conj(psi) grad psi) and
 kin = eps^2/2 |grad psi|^2; pointwise Re(i eps conj(psi) x_perp . grad psi)
 = -x_perp . J, so m_eps is the expectation of the rotation generator.
-The limit gives J = rho v and kin = rho |v|^2 / 2.
+The limit gives J = rho v and kin = rho |v|^2 / 2.  A wavefunction
+sampled in the rotating frame (WaveField.angle, as the NLS march hands
+its states to observers) is read there: the quadratures run over the
+lab points R(angle) x of the nodes x, with its current turned to R(angle) J.
 
 The moment system for (m, n, X) is the exact Ehrenfest law of the
 rotating NLS with a 2d cubic nonlinearity:
@@ -37,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (GridSpec, SimParams, WaveField, current_from_gradient, integrate,
-                   potential_grid, spectral_gradient)
+                   potential_grid, spectral_gradient, turn_plane)
 from .hydro import HydroState, WKBState
 
 CSV_HEADER = "t,mass,energy,m_eps,n,X,xy"
@@ -74,16 +77,18 @@ def probability_current(psi: WaveField) -> np.ndarray:
 # ---------- records ----------
 
 def _record(t: float, rho: np.ndarray, J: np.ndarray, kin: np.ndarray,
-            grid: GridSpec, params: SimParams) -> ObservableRecord:
+            grid: GridSpec, params: SimParams, angle: float = 0.0) -> ObservableRecord:
     """The one formula set of every record: the observables of density
     rho, current J and kinetic density kin, with x_perp . J = x2 J1 - x1 J2
-    and Omega, V and G from params."""
-    meshes = grid.meshes
+    and Omega, V and G from params.  The nodes x stand for the lab points
+    R(angle) x and J for R(angle) J; rho, kin and G(rho) are scalars."""
+    meshes = turn_plane(grid.meshes, angle)
+    J = turn_plane(J, angle)
     m = float(integrate(meshes[0] * J[1] - meshes[1] * J[0], grid))
     n = float(integrate(sum(meshes[j] * J[j] for j in range(grid.dim)), grid))
     Xm = float(integrate(sum(X * X for X in meshes) * rho, grid))
     xy = float(integrate(meshes[0] * meshes[1] * rho, grid))
-    trap = potential_grid(grid, params.omega) * rho
+    trap = potential_grid(grid, params.omega, angle) * rho
     inter = params.nonlinearity.antiderivative(rho)
     e = float(integrate(kin + trap + inter, grid)) + params.Omega * m
     return ObservableRecord(t=t, mass=float(integrate(rho, grid)), energy=e,
@@ -92,13 +97,14 @@ def _record(t: float, rho: np.ndarray, J: np.ndarray, kin: np.ndarray,
 
 def record_from_wavefield(psi: WaveField) -> ObservableRecord:
     """All observables of psi from one spectral gradient: rho = |psi|^2,
-    J = eps Im(conj(psi) grad psi) and kin = eps^2/2 |grad psi|^2."""
+    J = eps Im(conj(psi) grad psi) and kin = eps^2/2 |grad psi|^2, read
+    at psi's angle."""
     eps = psi.params.eps
     grad = spectral_gradient(psi.values, psi.grid)
     J = current_from_gradient(psi.values, grad, eps)
     kin = 0.5 * eps * eps * np.sum(np.abs(grad) ** 2, axis=0)
     del grad  # not alive through the quadratures
-    return _record(psi.t, psi.density(), J, kin, psi.grid, psi.params)
+    return _record(psi.t, psi.density(), J, kin, psi.grid, psi.params, psi.angle)
 
 
 def _limit_record(t: float, rho: np.ndarray, v: np.ndarray, grid: GridSpec,

@@ -166,9 +166,10 @@ def _evolve_fields(evolve, state0, cfg: RunConfig, observer):
 def _saved_field(state) -> tuple[np.ndarray, float, np.ndarray]:
     """(values, eps, amplitude) of a field state: what run() saves of it,
     and the field whose boundary modulus is the run's leak.  That is
-    (psi, eps, psi), (a, eps or 0, a) or (rho, 0, sqrt(rho))."""
+    (psi, eps, psi) on the lab grid, (a, eps or 0, a) or (rho, 0, sqrt(rho))."""
     if isinstance(state, WaveField):
-        return state.values, state.params.eps, state.values
+        psi = state.lab.values
+        return psi, state.params.eps, psi
     if isinstance(state, WKBState):
         a = state.amplitude()
         return a, state.eps, a
@@ -221,6 +222,8 @@ def run(cfg: RunConfig) -> RunResult:
         def observer(t, state):
             if cfg.snapshot_stride > 0 and len(records) % cfg.snapshot_stride == 0:
                 save(f"snap_{len(records):06d}.rsfw", state, tag)
+                # read as saved, so the file's record is this row, bit for bit
+                state = state.lab if isinstance(state, WaveField) else state
             records.append(record_of(state))
 
         final = march(observer=observer)

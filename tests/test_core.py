@@ -27,6 +27,7 @@ from rotorwkb import (
     spectral_gradient,
     wkb_assemble,
 )
+from rotorwkb.core import turn_field
 
 
 # ---------- parameters ----------
@@ -212,7 +213,8 @@ def test_every_marcher_rejects_a_stride_below_one(stride):
 
 
 @pytest.mark.parametrize("T, dt", [(1.0, 0.0), (1.0, np.nan), (1.0, np.inf),
-                                   (-1.0, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3)])
+                                   (-1.0, 1e-3), (np.nan, 1e-3), (np.inf, 1e-3),
+                                   (1e300, 1e-300)])
 def test_every_march_rejects_a_bad_time_grid(T, dt):
     # core.time_grid is the one check of (T, dt) for every march
     from rotorwkb.core import time_grid
@@ -241,8 +243,9 @@ def test_every_march_rejects_a_bad_time_grid(T, dt):
         with pytest.raises(ValueError):
             march()
     assert seen == []
-    phrase = ("dt must be positive" if np.isfinite(T) and T >= 0
-              else "duration T must be nonnegative")
+    phrase = ("duration T must be nonnegative" if not (np.isfinite(T) and T >= 0)
+              else "dt must be positive" if not (np.isfinite(dt) and dt > 0)
+              else r"T / dt is not finite: T = 1e\+300, dt = 1e-300")
     with pytest.raises(ValueError, match=phrase):
         time_grid(T, dt)
 
@@ -380,6 +383,60 @@ def test_wavefield_is_immutable():
         psi.values[0, 0] = 2.0
     with pytest.raises(ValueError, match="does not match grid"):
         WaveField(np.ones((8, 8)), 0.0, grid, SimParams(eps=0.5))
+
+
+# ---------- fields in a rotating frame ----------
+
+
+def _bump(points):
+    """A localized, resolved Gaussian with a plane-wave phase, at the
+    points (x1, x2[, x3])."""
+    c = (1.5, -0.7, 0.4)
+    r2 = sum((X - cj) ** 2 for X, cj in zip(points, c))
+    return np.exp(-r2 / (2 * 0.8 ** 2) + 1.2j * points[0] - 0.5j * points[1])
+
+
+def _frame_samples(grid, angle):
+    """The bump's samples at the lab points R(angle) x of the nodes x."""
+    X = grid.meshes
+    c, s = np.cos(angle), np.sin(angle)
+    return _bump([c * X[0] - s * X[1], s * X[0] + c * X[1]] + list(X[2:]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("angle", [0.3, 2.5, -3.0])
+def test_turning_back_gives_the_lab_samples_and_undoes_itself(dim, angle):
+    # 2.5 and -3.0 take the exact flip x -> -x first; in 3d the turn is
+    # about x3, so the x3 samples stay where they are
+    grid = (GridSpec.square(64, 8.0) if dim == 2
+            else GridSpec((8.0, 8.0, 4.0), (64, 64, 16)))
+    params = SimParams(eps=0.25, omega=(1.0,) * dim)
+    frame = WaveField(_frame_samples(grid, angle), 0.0, grid, params, angle)
+    lab = frame.lab
+    assert lab.angle == 0.0 and frame.lab is lab
+    np.testing.assert_allclose(lab.values, _bump(grid.meshes), rtol=0, atol=1e-12)
+    again = WaveField(lab.values, 0.0, grid, params, -angle).lab
+    np.testing.assert_allclose(again.values, frame.values, rtol=0, atol=1e-12)
+
+
+def test_angle_zero_keeps_every_bit():
+    grid = GridSpec.square(32, 4.0)
+    psi = WaveField(_bump(grid.meshes), 0.0, grid, SimParams(eps=0.25))
+    assert psi.angle == 0.0 and psi.lab is psi
+    assert turn_field(psi.values, grid, 0.0).tobytes() == psi.values.tobytes()
+    assert turn_field(psi.values, grid, 2 * np.pi).tobytes() == psi.values.tobytes()
+    assert potential_grid(grid, (2.0, 1.0), 0.0).tobytes() == \
+        potential_grid(grid, (2.0, 1.0)).tobytes()
+
+
+def test_wavefield_pickles_with_its_angle():
+    grid = GridSpec.square(16, 2.0)
+    psi = WaveField(np.ones(grid.shape, dtype=complex), 0.5, grid,
+                    SimParams(eps=0.5, Omega=1.4), angle=0.7)
+    back = pickle.loads(pickle.dumps(psi))
+    assert back.angle == 0.7 and back.t == 0.5
+    assert back.values.tobytes() == psi.values.tobytes()
+    assert not back.values.flags.writeable
 
 
 # ---------- norms ----------

@@ -9,6 +9,7 @@ internals.
 
 import numpy as np
 import pytest
+from packets import gauge_error, gaussian_packet
 
 from rotorwkb import nls
 from rotorwkb import (
@@ -26,34 +27,35 @@ from rotorwkb import (
 )
 
 
-# The substeps as the march runs them, one WaveField in and one out.
+# The substeps as the march runs them, one WaveField in and one out.  The
+# march holds its states in the rotating frame, at the angle Omega t.
 
 def _advance(psi, values, dt):
-    return WaveField(values, psi.t + dt, psi.grid, psi.params)
+    t = psi.t + dt
+    return WaveField(values, t, psi.grid, psi.params, psi.params.Omega * t)
 
 
-def step_kinetic_rotation_axis1(psi, dt):
-    """Exact substep K1 over dt (plus the z-kinetic factor in 3d)."""
-    mult = nls._k1_multiplier(psi.grid, psi.params, dt)
-    return _advance(psi, nls._kinetic(psi.values, mult, nls._K1_AXES[psi.grid.dim]), dt)
-
-
-def step_kinetic_rotation_axis2(psi, dt):
-    """Exact substep K2 over dt."""
-    mult = nls._k2_multiplier(psi.grid, psi.params, dt)
-    return _advance(psi, nls._kinetic(psi.values, mult, (1,)), dt)
+def step_kinetic(psi, dt):
+    """Exact substep K over dt: a plan with V = 0 and f = 0, whose P
+    factors are exactly 1, applies K alone."""
+    params = SimParams(eps=psi.params.eps, omega=(0.0,) * psi.grid.dim,
+                       nonlinearity=Nonlinearity.none())
+    plan = nls.SplitStepPlan(psi.grid, params, dt)
+    return _advance(psi, plan.step(psi.values, 0.0), dt)
 
 
 def step_potential_nonlinear(psi, dt):
-    """Pointwise phase substep P over dt."""
-    V = potential_grid(psi.grid, psi.params.omega)
-    return _advance(psi, nls._potential_nonlinear(psi.values, V, psi.params, dt), dt)
+    """Pointwise phase substep P over dt with the potential at the state's
+    frame angle; the state keeps its time and angle."""
+    plan = nls.SplitStepPlan(psi.grid, psi.params, dt)
+    values = nls._potential_nonlinear(psi.values, plan.potential(psi.angle), psi.params, dt)
+    return WaveField(values, psi.t, psi.grid, psi.params, psi.angle)
 
 
 def strang_step(psi, dt):
     """One Strang palindrome, by the plan the march builds."""
     plan = nls.SplitStepPlan(psi.grid, psi.params, dt)
-    return _advance(psi, plan.step(psi.values), dt)
+    return _advance(psi, plan.step(psi.values, psi.angle), dt)
 
 
 def _plane_wave(grid, k1, k2, params):
@@ -62,43 +64,58 @@ def _plane_wave(grid, k1, k2, params):
     return WaveField(values, 0.0, grid, params)
 
 
-def test_kinetic_rotation_axis1_multiplier_on_plane_wave():
+def test_kinetic_multiplier_on_plane_wave():
+    # K is one multiplier under the full FFT, the same for every Omega
     grid = GridSpec.square(32, 4.0)
     params = SimParams(eps=0.25, Omega=0.7, omega=(1.0, 1.0))
     dk = np.pi / 4.0
     k1, k2 = 3 * dk, -2 * dk
     psi = _plane_wave(grid, k1, k2, params)
     dt = 0.05
-    out = step_kinetic_rotation_axis1(psi, dt)
-    # exact action: multiply by exp(-i dt (eps k1^2/2 - Omega x2 k1))
-    X2 = grid.meshes[1]
-    expect = psi.values * np.exp(-1j * dt * (0.25 * k1**2 / 2.0 - 0.7 * X2 * k1))
+    out = step_kinetic(psi, dt)
+    # exact action: multiply by exp(-i dt eps |k|^2 / 2)
+    expect = psi.values * np.exp(-1j * dt * 0.25 * (k1**2 + k2**2) / 2.0)
     np.testing.assert_allclose(out.values, expect, atol=1e-13)
 
 
-def test_kinetic_rotation_axis2_multiplier_on_plane_wave():
-    grid = GridSpec.square(32, 4.0)
-    params = SimParams(eps=0.25, Omega=0.7, omega=(1.0, 1.0))
-    dk = np.pi / 4.0
-    k1, k2 = -dk, 5 * dk
-    psi = _plane_wave(grid, k1, k2, params)
+def test_kinetic_multiplier_on_plane_wave_in_3d():
+    grid = GridSpec.square(16, 4.0, dim=3)
+    params = SimParams(eps=0.25, Omega=0.7, omega=(1.0, 1.0, 1.0))
+    k = np.pi / 4.0 * np.array([-1, 5, 3])
+    psi = WaveField(np.exp(1j * sum(kj * X for kj, X in zip(k, grid.meshes))),
+                    0.0, grid, params)
     dt = 0.05
-    out = step_kinetic_rotation_axis2(psi, dt)
-    # opposite shear sign: exp(-i dt (eps k2^2/2 + Omega x1 k2))
-    X1 = grid.meshes[0]
-    expect = psi.values * np.exp(-1j * dt * (0.25 * k2**2 / 2.0 + 0.7 * X1 * k2))
-    np.testing.assert_allclose(out.values, expect, atol=1e-13)
+    expect = psi.values * np.exp(-1j * dt * 0.25 * float(k @ k) / 2.0)
+    np.testing.assert_allclose(step_kinetic(psi, dt).values, expect, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim, omega", [(2, (1.0, 1.0)), (2, (2.0, 1.0)),
+                                        (3, (1.0, 1.5, 0.8))])
+def test_frame_potential_is_the_trap_at_the_lab_points(dim, omega):
+    # P reads V(R(angle) y) at the frame nodes y: built once when
+    # omega1 = omega2, else from three cached node products per call
+    grid = GridSpec.square(16, 4.0, dim=dim)
+    plan = nls.SplitStepPlan(grid, SimParams(eps=0.25, Omega=0.9, omega=omega), 0.01)
+    for angle in (0.0, 0.4, -2.2, 11.0):
+        np.testing.assert_allclose(plan.potential(angle),
+                                   potential_grid(grid, omega, angle),
+                                   rtol=1e-13, atol=1e-13)
+    X = grid.meshes
+    c, s = np.cos(0.4), np.sin(0.4)
+    lab = [c * X[0] - s * X[1], s * X[0] + c * X[1]] + list(X[2:])
+    expect = 0.5 * sum(w * w * Y * Y for w, Y in zip(omega, lab))
+    np.testing.assert_allclose(potential_grid(grid, omega, 0.4), expect, atol=1e-13)
 
 
 def test_potential_step_phase_and_modulus():
     grid = GridSpec.square(64, 8.0)
-    params = SimParams(eps=0.5, Omega=0.0, omega=(2.0, 1.0))
+    params = SimParams(eps=0.5, Omega=0.6, omega=(2.0, 1.0))
     a = make_gaussian(grid)
-    psi = WaveField(a.astype(complex), 0.0, grid, params)
+    psi = WaveField(a.astype(complex), 0.3, grid, params, 0.6 * 0.3)
     dt = 0.03
     out = step_potential_nonlinear(psi, dt)
     np.testing.assert_allclose(np.abs(out.values), a, atol=1e-14)
-    V = potential_grid(grid, params.omega)
+    V = potential_grid(grid, params.omega, psi.angle)
     rho = a * a  # cubic law: f(rho) = rho
     expect = a * np.exp(-1j * dt * (V + rho) / 0.5)
     np.testing.assert_allclose(out.values, expect, atol=1e-13)
@@ -109,33 +126,31 @@ def test_every_substep_preserves_mass():
     grid = GridSpec.square(32, 4.0)
     params = SimParams(eps=0.25, Omega=1.0, omega=(1.0, 2.0))
     values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    psi = WaveField(values, 0.0, grid, params)
+    psi = WaveField(values, 0.2, grid, params, 0.2)
     m0 = mass(psi)
-    for stepper in (step_kinetic_rotation_axis1, step_kinetic_rotation_axis2,
-                    step_potential_nonlinear, strang_step):
+    for stepper in (step_kinetic, step_potential_nonlinear, strang_step):
         m1 = mass(stepper(psi, 0.02))
         assert m1 == pytest.approx(m0, rel=1e-13)
 
 
 def test_strang_step_is_the_documented_palindrome():
+    # P at the step's opening angle, K, P at its closing angle
     rng = np.random.default_rng(6)
     grid = GridSpec.square(32, 4.0)
     params = SimParams(eps=0.25, Omega=0.9, omega=(1.0, 1.5))
     values = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    psi = WaveField(values, 0.0, grid, params)
+    psi = WaveField(values, 0.5, grid, params, 0.9 * 0.5)
     dt = 0.01
     manual = step_potential_nonlinear(psi, 0.5 * dt)
-    manual = step_kinetic_rotation_axis1(manual, 0.5 * dt)
-    manual = step_kinetic_rotation_axis2(manual, dt)
-    manual = step_kinetic_rotation_axis1(manual, 0.5 * dt)
+    manual = step_kinetic(manual, dt)
     manual = step_potential_nonlinear(manual, 0.5 * dt)
     np.testing.assert_allclose(strang_step(psi, dt).values, manual.values,
                                atol=1e-14)
 
 
 def test_free_gaussian_matches_dispersive_closed_form():
-    # V = 0, f = 0, Omega = 0: the two kinetic multipliers commute and
-    # the splitting is exact at any dt.  psi0 = exp(-|x|^2 / (2 s0))
+    # V = 0, f = 0, Omega = 0: P is exactly 1, so the splitting is exact
+    # at any dt.  psi0 = exp(-|x|^2 / (2 s0))
     # evolves to (s0 / s)^(d/2) exp(-|x|^2 / (2 s)) with s = s0 + i eps t.
     grid = GridSpec.square(128, 8.0)
     eps = 0.5
@@ -198,6 +213,26 @@ def test_reversibility():
     assert back.t == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("Omega, omega", [(0.5, (1.0, 1.5)), (1.2, (1.0, 1.4))])
+def test_march_meets_the_exact_packet_at_second_order(Omega, omega):
+    # f = 0 in an anisotropic rotating trap (Omega > omega1 in the second
+    # case): the exact Gaussian packet is the truth.  Halving dt divides
+    # the error by 4, and mass holds to roundoff.
+    grid = GridSpec.square(128, 8.0)
+    params = SimParams(eps=0.25, Omega=Omega, omega=omega,
+                       nonlinearity=Nonlinearity.none())
+    packet = dict(q0=np.array([1.0, 0.5]), p0=np.array([0.3, -0.2]),
+                  sigma0=np.array([[0.2 + 1.0j, 0.1], [0.1, -0.1 + 0.7j]]))
+    psi0 = WaveField(gaussian_packet(grid, params, 0.0, **packet), 0.0, grid, params)
+    exact = gaussian_packet(grid, params, 1.0, **packet)
+    errors = []
+    for dt in (2e-3, 1e-3):
+        out = evolve_nls(psi0, T=1.0, dt=dt)
+        errors.append(gauge_error(out.values, exact))
+        assert abs(mass(out) - mass(psi0)) / mass(psi0) < 1e-12
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
 def test_observer_cadence_and_remainder_step():
     grid = GridSpec.square(32, 4.0)
     params = SimParams(eps=0.25)
@@ -241,8 +276,9 @@ def test_mass_conserved_along_full_model_run():
 @pytest.mark.parametrize("dim, omega", [(2, (1.0, 1.5)), (3, (1.0, 1.5, 2.0))])
 def test_merged_march_is_the_palindrome(dim, omega):
     # evolve_nls merges the closing and opening P halves of adjacent
-    # steps; every state it hands out must still be the plain palindrome's.
-    # The 3d case runs K1 along axes (0, 2).
+    # steps; every state it hands out must still be the plain palindrome's,
+    # in the frame at angle Omega t, and the final state that one turned
+    # back to the lab.  The 3d case turns about x3.
     grid = GridSpec.square(32 if dim == 2 else 16, 4.0, dim=dim)
     params = SimParams(eps=0.25, Omega=0.9, omega=omega)
     X = grid.meshes
@@ -257,8 +293,10 @@ def test_merged_march_is_the_palindrome(dim, omega):
     for step in range(1, 11):
         psi = strang_step(psi, dt)
         if step in seen:
+            assert seen[step].angle == pytest.approx(0.9 * step * dt, rel=1e-14)
             np.testing.assert_allclose(seen[step].values, psi.values, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(out.values, psi.values, rtol=0, atol=1e-13)
+    assert out.angle == 0.0
+    np.testing.assert_allclose(out.values, psi.lab.values, rtol=0, atol=1e-13)
     m0 = mass(psi0)
     for p in list(seen.values()) + [out]:
         assert abs(mass(p) - m0) / m0 < 1e-13

@@ -343,3 +343,25 @@ def test_energy_drift_stays_at_splitting_scale():
                observer_stride=25)
     E = np.array([r.energy for r in recs])
     assert np.max(np.abs(E - E[0])) / abs(E[0]) < 1e-6
+
+
+def test_frame_state_records_as_its_lab_field():
+    # the march hands observers its frame states; their record reads the
+    # quadratures at the lab points, so it is the record of the field
+    # turned back, the trap energy and xy included.  The turn back is
+    # exact only while the spectrum stays inside the grid's band, as it
+    # does here (gaps at roundoff; at eps = 0.25 the same data reach
+    # 1e-7 by t = 1.2, and roundoff again on 256^2).
+    grid = GridSpec.square(128, 8.0)
+    params = SimParams(eps=0.5, Omega=0.8, omega=(1.0, 1.5))
+    a = make_gaussian(grid, center=(1.0, 0.5))
+    X1, X2 = grid.meshes
+    psi0 = wkb_assemble(a, 0.2 * X1 - 0.1 * X1 * X2, grid, params)
+    states = []
+    evolve_nls(psi0, T=1.2, dt=2e-3, observer=lambda t, p: states.append(p),
+               observer_stride=300)
+    assert [round(s.angle, 12) for s in states] == [0.0, 0.48, 0.96]
+    for state in states[1:]:
+        frame, lab = record_from_wavefield(state), record_from_wavefield(state.lab)
+        for name in ("mass", "energy", "m_eps", "n", "X", "xy"):
+            assert getattr(frame, name) == pytest.approx(getattr(lab, name), rel=1e-10)
