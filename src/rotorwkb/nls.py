@@ -139,7 +139,7 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     h = h if dt > 0 else -h
     plan = SplitStepPlan(psi0.grid, psi0.params, h)
     Omega = psi0.params.Omega
-    values = (np.array(psi0.values) if psi0.angle == Omega * psi0.t
+    values = (psi0.values if psi0.angle == Omega * psi0.t
               else turn_field(psi0.values, psi0.grid, psi0.angle - Omega * psi0.t))
     state = psi0
 
@@ -158,6 +158,7 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
         if observed or step == n_steps:
             state = WaveField(values, t, psi0.grid, psi0.params, Omega * t)
+            values = state.values  # its read-only copy: no step writes in place
         if observed:
             observer(t, state)
     return state.lab
