@@ -259,15 +259,16 @@ def integrate(values: np.ndarray, grid: GridSpec) -> float | complex:
     return grid.cell * values.sum()
 
 
-def turn_plane(components, angle: float):
-    """R(angle) applied to the (x1, x2) components of a stacked vector
-    field: (c u1 - s u2, s u1 + c u2[, u3]), a counterclockwise turn.
-    At angle 0 the components come back as they are."""
+def lab_points(grid: GridSpec, angle: float = 0.0):
+    """Coordinates of the lab points R(angle) x of the nodes x, one array
+    per axis, R(angle) the counterclockwise turn of the (x1, x2) plane:
+    grid.meshes at angle 0, else turned from the axes as arrays that
+    broadcast to the grid shape."""
     if not angle:
-        return components
+        return grid.meshes
+    x = np.meshgrid(*grid.axes, indexing="ij", sparse=True)
     c, s = math.cos(angle), math.sin(angle)
-    u1, u2 = components[0], components[1]
-    return (c * u1 - s * u2, s * u1 + c * u2) + tuple(components[2:])
+    return (c * x[0] - s * x[1], s * x[0] + c * x[1]) + tuple(x[2:])
 
 
 def potential_grid(grid: GridSpec, omega: Sequence[float],
@@ -275,7 +276,7 @@ def potential_grid(grid: GridSpec, omega: Sequence[float],
     """Trap potential at the lab points R(angle) x of the nodes x."""
     w2 = np.asarray(omega, dtype=float) ** 2
     out = np.zeros(grid.shape)
-    for j, X in enumerate(turn_plane(grid.meshes, angle)):
+    for j, X in enumerate(lab_points(grid, angle)):
         out += 0.5 * w2[j] * X * X
     return out
 

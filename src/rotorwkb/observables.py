@@ -11,8 +11,8 @@ kin = eps^2/2 |grad psi|^2; pointwise Re(i eps conj(psi) x_perp . grad psi)
 = -x_perp . J, so m_eps is the expectation of the rotation generator.
 The limit gives J = rho v and kin = rho |v|^2 / 2.  A wavefunction
 sampled in the rotating frame (WaveField.angle, as the NLS march hands
-its states to observers) is read there: the quadratures run over the
-lab points R(angle) x of the nodes x, with its current turned to R(angle) J.
+its states to observers) is read there: its nodes x stand for the lab
+points R(angle) x and its current for R(angle) J.
 
 The moment system for (m, n, X) is the exact Ehrenfest law of the
 rotating NLS with a 2d cubic nonlinearity:
@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (GridSpec, SimParams, WaveField, current_from_gradient, integrate,
-                   potential_grid, spectral_gradient, turn_plane)
+                   lab_points, potential_grid, spectral_gradient)
 from .hydro import HydroState, WKBState
 
 CSV_HEADER = "t,mass,energy,m_eps,n,X,xy"
@@ -81,13 +81,15 @@ def _record(t: float, rho: np.ndarray, J: np.ndarray, kin: np.ndarray,
     """The one formula set of every record: the observables of density
     rho, current J and kinetic density kin, with x_perp . J = x2 J1 - x1 J2
     and Omega, V and G from params.  The nodes x stand for the lab points
-    R(angle) x and J for R(angle) J; rho, kin and G(rho) are scalars."""
-    meshes = turn_plane(grid.meshes, angle)
-    J = turn_plane(J, angle)
+    R(angle) x and J for R(angle) J.  m_eps, n and X do not change under
+    that turn, and rho, kin and G(rho) are scalars, so only xy and the
+    trap read the lab points."""
+    meshes = grid.meshes
     m = float(integrate(meshes[0] * J[1] - meshes[1] * J[0], grid))
     n = float(integrate(sum(meshes[j] * J[j] for j in range(grid.dim)), grid))
     Xm = float(integrate(sum(X * X for X in meshes) * rho, grid))
-    xy = float(integrate(meshes[0] * meshes[1] * rho, grid))
+    lab = lab_points(grid, angle)
+    xy = float(integrate(lab[0] * lab[1] * rho, grid))
     trap = potential_grid(grid, params.omega, angle) * rho
     inter = params.nonlinearity.antiderivative(rho)
     e = float(integrate(kin + trap + inter, grid)) + params.Omega * m
