@@ -129,7 +129,7 @@ def _dispatch(ns: argparse.Namespace, overrides: dict[str, str]) -> int:
                 raise ConfigError(f"{path}: snapshot is {snap.grid.dim}d but "
                                   f"[sim].omega gives {cfg.sim.dim}d")
             psi = WaveField(values=snap.values, t=snap.t, grid=snap.grid,
-                            params=replace(cfg.sim, eps=snap.eps))
+                            params=replace(cfg.sim, eps=snap.eps), angle=snap.angle)
             records.append(record_from_wavefield(psi))
         sys.stdout.write(records_to_csv(records))
         return 0

@@ -11,8 +11,8 @@ x_perp = (x2, -x1).  In 3d the rotation acts in the (x1, x2) plane only.
 
 This module owns the parameter and field containers, the periodic grid,
 WKB assembly psi = a exp(i Phi / eps), reference initial data, spectral
-derivatives, Sobolev-type norms, the time grid every marcher shares, and
-the turn of a field sampled in a rotating frame back to the lab grid.
+derivatives, Sobolev-type and gauge norms, the time grid every marcher
+shares, and the turn of a field from one rotating-frame angle to another.
 Field containers are immutable after construction, and they and the
 parameters pickle, so they cross into worker processes.
 """
@@ -150,6 +150,9 @@ def potential_gradient(x: np.ndarray, omega: Sequence[float]) -> np.ndarray:
 
 # ---------- time grid ----------
 
+MAX_STEPS = 10 ** 8  # cap on the step count of one march
+
+
 def time_grid(T: float, dt: float) -> tuple[int, float]:
     """Step count n and uniform step h = T / n of a march to T.
 
@@ -159,15 +162,16 @@ def time_grid(T: float, dt: float) -> tuple[int, float]:
     at most).  T = 0 gives no step and h = dt, so a caller can still
     build its step operators.  Every march reads (T, dt) here, so this
     is the one check that T is finite and >= 0, dt finite and > 0, and
-    T / dt finite.
+    n at most MAX_STEPS.
     """
     if not (math.isfinite(T) and T >= 0):
         raise ValueError(f"duration T must be nonnegative and finite, got {T}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     ratio = T / dt
-    if not math.isfinite(ratio):
-        raise ValueError(f"T / dt is not finite: T = {T}, dt = {dt}")
+    if not ratio <= MAX_STEPS:
+        raise ValueError(f"T = {T} at dt = {dt} takes n = T / dt = {ratio:.6g} steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
     n = math.ceil(ratio * (1.0 - 1e-9))
     return n, T / n if n else dt
 
@@ -342,7 +346,7 @@ def turn_field(values: np.ndarray, grid: GridSpec, angle: float) -> np.ndarray:
     """Samples at the nodes x of the field f(R(-angle) x): f turned
     counterclockwise by angle in the (x1, x2) plane.  A field sampled at
     angle a (WaveField.angle) turned by a - b is the same field at angle
-    b; turned by a, it is back on the lab grid.
+    b; turned by a, it is on the lab grid.  Real input turns as its complex cast.
 
     The angle is reduced to [-pi, pi].  Beyond pi/2 the exact flip
     x -> -x of the plane takes pi off it.  The rest, a, is turned in
@@ -356,12 +360,11 @@ def turn_field(values: np.ndarray, grid: GridSpec, angle: float) -> np.ndarray:
     (0.68 k) aliased a resolved 128^2 Gaussian packet at 1e-6.
     """
     a = math.remainder(angle, 2.0 * math.pi)
+    out = np.array(values, dtype=complex)
     if abs(a) > 0.5 * math.pi:
         # node j sits at -L + j h, and -x of it is node (N - j) mod N
-        out = np.roll(np.flip(values, axis=(0, 1)), 1, axis=(0, 1))
+        out = np.roll(np.flip(out, axis=(0, 1)), 1, axis=(0, 1))
         a -= math.copysign(math.pi, a)
-    else:
-        out = np.array(values)
     turns = math.ceil(abs(a) / (0.25 * math.pi))
     if not turns:
         return out
@@ -384,11 +387,10 @@ class WaveField:
 
     The samples are psi at the lab points R(angle) x of the nodes x,
     R(angle) the counterclockwise turn of the (x1, x2) plane: angle 0,
-    the default, is the lab grid, and the NLS march hands out its states
-    at the angle Omega t of its rotating frame.  `lab` is the same field
-    at angle 0.  The sample array is copied in and marked read-only, so
-    a WaveField can be handed to other threads or kept in trajectory
-    lists safely.
+    the default, is the lab grid, and the NLS march keeps its states at
+    the angle of its rotating frame.  The sample array is copied in and
+    marked read-only, so a WaveField can be handed to other threads or
+    kept in trajectory lists safely.
     """
 
     values: np.ndarray
@@ -407,15 +409,6 @@ class WaveField:
     def __reduce__(self):
         # through the constructor, so the unpickled samples are read-only too
         return WaveField, (self.values, self.t, self.grid, self.params, self.angle)
-
-    @cached_property
-    def lab(self) -> "WaveField":
-        """This field at angle 0: psi at the nodes themselves.  Turned
-        once per state, by turn_field; at angle 0 it is this field."""
-        if not self.angle:
-            return self
-        return WaveField(turn_field(self.values, self.grid, self.angle), self.t,
-                         self.grid, self.params)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -471,6 +464,13 @@ def make_vortex_init(grid: GridSpec, winding: int, width: float = 1.0) -> np.nda
 
 
 # ---------- norms ----------
+
+def gauge_distance(a: np.ndarray, b: np.ndarray, cell: float = 1.0) -> float:
+    """The L2 distance min over theta ||a - e^{i theta} b|| (weight cell), at theta
+    the phase of <b, a>; formed from the difference, so it does not cancel."""
+    phase = np.exp(1j * np.angle(np.vdot(b, a)))
+    return math.sqrt(cell * float(np.sum(np.abs(a - phase * b) ** 2)))
+
 
 def sobolev_norm(values: np.ndarray, grid: GridSpec, s: float = 4.0) -> float:
     """Spectral H^s norm (sum_k (1 + |k|^2)^s |u_hat(k)|^2 cell)^(1/2).

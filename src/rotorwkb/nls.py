@@ -34,16 +34,15 @@ equal to n palindromes up to roundoff.  The march splits P(dt) back into
 two halves only after a step the observer sees and after the last step,
 so every observed state and the final state are the plain palindrome's.
 
-The frame is the lab at t = 0: a state at time t is held at the angle
-Omega t (WaveField.angle; its samples are psi at the lab points
-R(angle) y of the nodes y), and psi0 is turned to Omega t0 first when
-it is not there already.  Observers receive the frame states as they
-are: records read them in the frame (observables.record_from_wavefield),
-and a caller that needs lab samples reads WaveField.lab, which turns
-the state back by one-axis Fourier shears (core.turn_field).  evolve_nls
-returns its final state at angle 0, turned back once.  A march backward
-from it first turns it to its frame angle, the exact inverse of that
-turn, so it retraces the forward march to roundoff.
+The frame starts at psi0.angle (WaveField.angle: the samples are psi at
+the lab points R(angle) y of the nodes y, and a lab field is at angle 0)
+and turns at the rate Omega, so the state after k steps of size h is at
+psi0.angle + Omega k h.  Nothing here turns a field: observers receive
+the frame states, and evolve_nls returns its final state, as marched.
+Records read them in the frame (observables.record_from_wavefield), and
+core.turn_field moves a state to another angle.  A march backward from a
+returned state starts at its angle and retraces the forward march to
+roundoff.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (GridSpec, NumericalAbort, SimParams, WaveField, expi, potential_grid,
-                   time_grid, turn_field)
+                   time_grid)
 
 
 def _potential_nonlinear(values: np.ndarray, potential: np.ndarray,
@@ -128,9 +127,9 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     takes none.  Adjacent P halves are merged into one P(dt) except
     around an observed step (module docstring).  The observer, when
     given, is called at t = 0, every observer_stride steps, and at the
-    final time, with the frame state at angle Omega t.  The returned
-    state is at angle 0.  Non-finite samples abort the run with the
-    offending step index.
+    final time, with the frame state; that state and the returned one
+    sit at the angle psi0.angle + Omega (t - psi0.t).  Non-finite
+    samples abort the run with the offending step index.
     """
     if observer_stride < 1:
         raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
@@ -139,8 +138,7 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
     h = h if dt > 0 else -h
     plan = SplitStepPlan(psi0.grid, psi0.params, h)
     Omega = psi0.params.Omega
-    values = (psi0.values if psi0.angle == Omega * psi0.t
-              else turn_field(psi0.values, psi0.grid, psi0.angle - Omega * psi0.t))
+    values = psi0.values
     state = psi0
 
     if observer is not None:
@@ -150,15 +148,17 @@ def evolve_nls(psi0: WaveField, T: float, dt: float,
         observed = observer is not None and (step % observer_stride == 0
                                              or step == n_steps)
         join = step < n_steps and not observed
-        values = plan.step(values, Omega * (psi0.t + (step - 1) * h), lead=lead, join=join)
+        values = plan.step(values, psi0.angle + Omega * ((step - 1) * h),
+                           lead=lead, join=join)
         lead = not join
         t = psi0.t + step * h
         if not np.isfinite(values).all():
             raise NumericalAbort(
                 f"non-finite samples after step {step} (t = {t:.6g})", step, t)
         if observed or step == n_steps:
-            state = WaveField(values, t, psi0.grid, psi0.params, Omega * t)
+            state = WaveField(values, t, psi0.grid, psi0.params,
+                              psi0.angle + Omega * (step * h))
             values = state.values  # its read-only copy: no step writes in place
         if observed:
             observer(t, state)
-    return state.lab
+    return state

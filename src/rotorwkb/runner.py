@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, serialize
-from .core import (WaveField, boundary_max, integrate, make_gaussian,
-                   make_vortex_init, sobolev_norm, spectral_gradient,
+from .core import (WaveField, boundary_max, gauge_distance, integrate, make_gaussian,
+                   make_vortex_init, sobolev_norm, spectral_gradient, turn_field,
                    wkb_assemble)
 from .hydro import HydroState, StepBoundError, WKBState, evolve_hydro, evolve_wkb
 from .nls import evolve_nls
@@ -54,6 +54,16 @@ class RunResult:
 
 # ---------- initial-state assembly ----------
 
+def _file_field(path, grid, key: str) -> np.ndarray:
+    """The samples of a saved field on the configured lab grid: a file
+    at a nonzero angle (an NLS state in its frame) is turned to angle 0."""
+    snap = load_field(path)
+    if snap.grid != grid:
+        raise ConfigError(f"[run].{key}: file grid {snap.grid.points} x "
+                          f"{snap.grid.half_extent} does not match configured grid")
+    return turn_field(snap.values, snap.grid, snap.angle)
+
+
 def amplitude_field(cfg: RunConfig) -> np.ndarray:
     """The configured a_in sampled on the grid (complex)."""
     init, grid = cfg.initial, cfg.grid
@@ -61,11 +71,7 @@ def amplitude_field(cfg: RunConfig) -> np.ndarray:
         return make_gaussian(grid, center=init.center, width=init.width).astype(complex)
     if init.kind == "vortex":
         return make_vortex_init(grid, winding=init.winding, width=init.width)
-    snap = load_field(init.path)
-    if snap.grid != grid:
-        raise ConfigError(f"[run].initial: file grid {snap.grid.points} x "
-                          f"{snap.grid.half_extent} does not match configured grid")
-    return snap.values
+    return _file_field(init.path, grid, "initial")
 
 
 def quadratic_phase(cfg: RunConfig) -> QuadraticPhase:
@@ -87,10 +93,7 @@ def phase_field(cfg: RunConfig) -> np.ndarray:
     if cfg.phase.kind == "quadratic":
         pts = np.stack(grid.meshes, axis=-1)
         return quadratic_phase(cfg).value(pts)
-    snap = load_field(cfg.phase.path)
-    if snap.grid != grid:
-        raise ConfigError("[run].phase: file grid does not match configured grid")
-    vals = snap.values
+    vals = _file_field(cfg.phase.path, grid, "phase")
     if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
         raise ConfigError("[run].phase: phase file must hold a real field")
     return vals.real.copy()
@@ -163,17 +166,16 @@ def _evolve_fields(evolve, state0, cfg: RunConfig, observer):
         raise ConfigError(f"[run].dt: {exc}") from exc
 
 
-def _saved_field(state) -> tuple[np.ndarray, float, np.ndarray]:
-    """(values, eps, amplitude) of a field state: what run() saves of it,
-    and the field whose boundary modulus is the run's leak.  That is
-    (psi, eps, psi) on the lab grid, (a, eps or 0, a) or (rho, 0, sqrt(rho))."""
+def _saved_field(state) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """(values, eps, angle, amplitude) of a field state: what run() saves
+    of it, and the field whose boundary modulus is the run's leak.  That is
+    (psi, eps, angle, psi) as marched, (a, eps or 0, 0, a) or (rho, 0, 0, sqrt(rho))."""
     if isinstance(state, WaveField):
-        psi = state.lab.values
-        return psi, state.params.eps, psi
+        return state.values, state.params.eps, state.angle, state.values
     if isinstance(state, WKBState):
         a = state.amplitude()
-        return a, state.eps, a
-    return state.rho, 0.0, np.sqrt(state.rho)
+        return a, state.eps, 0.0, a
+    return state.rho, 0.0, 0.0, np.sqrt(state.rho)
 
 
 def run(cfg: RunConfig) -> RunResult:
@@ -185,9 +187,9 @@ def run(cfg: RunConfig) -> RunResult:
     artifacts: list[Path] = []
 
     def save(name, state, tag):
-        values, eps, amplitude = _saved_field(state)
+        values, eps, angle, amplitude = _saved_field(state)
         path = outdir / name
-        save_field(path, values, state.grid, eps, state.t, tag)
+        save_field(path, values, state.grid, eps, state.t, tag, angle)
         artifacts.append(path)
         return amplitude
 
@@ -222,13 +224,11 @@ def run(cfg: RunConfig) -> RunResult:
         def observer(t, state):
             if cfg.snapshot_stride > 0 and len(records) % cfg.snapshot_stride == 0:
                 save(f"snap_{len(records):06d}.rsfw", state, tag)
-                # read as saved, so the file's record is this row, bit for bit
-                state = state.lab if isinstance(state, WaveField) else state
             records.append(record_of(state))
 
         final = march(observer=observer)
         amplitude = (save("final.rsfw", final, f"{cfg.solver}-final") if cfg.T > 0
-                     else _saved_field(final)[2])
+                     else _saved_field(final)[3])
         leak = boundary_max(amplitude)
 
     csv_path = outdir / "observables.csv"
@@ -309,13 +309,13 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     """Convergence study against the eps = 0 limit of the same data.
 
     Per eps: an NLS run scores density (L1) and current (L2) against the
-    limit (rho, rho v); a WKB run scores the complex amplitude (L2)
-    against the limit amplitude.  The reference and every (eps, route)
-    run are separate tasks on a pool of worker processes, capped by
-    ROTORWKB_THREADS; metrics are reduced in the given (strictly
-    decreasing) eps order.  A failed member drops its eps and raises
-    SweepError after sweep.json is written; a failed reference raises
-    its own exception and writes nothing.
+    limit (rho, rho v) turned into the members' frame; a WKB run scores
+    the complex amplitude (L2) against the limit amplitude.  The reference
+    and every (eps, route) run are separate tasks on a pool of worker
+    processes, capped by ROTORWKB_THREADS; metrics are reduced in the
+    given (strictly decreasing) eps order.  A failed member drops its eps
+    and raises SweepError after sweep.json is written; a failed reference
+    raises its own exception and writes nothing.
 
     Workers start by the spawn method, which is safe in a caller that
     has threads; they import the caller's main module, so a script that
@@ -361,8 +361,9 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
             pool.shutdown(cancel_futures=True)
             raise
         rho0 = ref.density()
-        v0 = ref.total_velocity()
+        J0 = rho0 * ref.total_velocity()
         a0 = ref.amplitude()
+        angle0 = 0.0  # the frame angle that rho0 and J0 are sampled at
 
         for eps in eps_list:
             out: dict[str, float] = {}
@@ -371,10 +372,17 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
                 if "nls" in routes:
                     psi, took = futures["nls", eps].result()
                     wall += took
+                    if psi.angle != angle0:  # once: the members share T and dt
+                        # sampled at R(turn) x, components along the turned axes
+                        turn, angle0 = psi.angle - angle0, psi.angle
+                        rho0 = turn_field(rho0, grid, -turn).real
+                        J0 = np.stack([turn_field(Jj, grid, -turn).real for Jj in J0])
+                        c, s = math.cos(turn), math.sin(turn)
+                        J0[0], J0[1] = c * J0[0] + s * J0[1], c * J0[1] - s * J0[0]
                     rho_e = psi.density()
                     out["density_l1"] = float(integrate(np.abs(rho_e - rho0), grid))
                     J = probability_current(psi)
-                    diff2 = sum((J[j] - rho0 * v0[j]) ** 2 for j in range(grid.dim))
+                    diff2 = sum((J[j] - J0[j]) ** 2 for j in range(grid.dim))
                     out["current_l2"] = float(np.sqrt(cell * np.sum(diff2)))
                 if "wkb" in routes:
                     state, took = futures["wkb", eps].result()
@@ -425,10 +433,10 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
 # ---------- field comparison ----------
 
 def compare_fields(path_a, path_b) -> dict[str, float]:
-    """Norms of the difference of two saved fields, plus the
-    phase-insensitive L2 distance min over theta of ||A - e^{i theta} B||.
-    Tagged fields must be of one kind (Snapshot.kind); untagged fields
-    are not checked."""
+    """Norms of the difference of two saved fields, B turned to A's angle,
+    plus the L2 distance min over theta of ||A - e^{i theta} B||
+    (core.gauge_distance).  Tagged fields must be of one kind
+    (Snapshot.kind); untagged fields are not checked."""
     sa, sb = load_field(path_a), load_field(path_b)
     if sa.kind and sb.kind and sa.kind != sb.kind:
         raise ValueError(f"{path_a} holds a {sa.tag!r} field and {path_b} a "
@@ -437,16 +445,13 @@ def compare_fields(path_a, path_b) -> dict[str, float]:
         raise ValueError(f"header mismatch: {sa.grid.points} x {sa.grid.half_extent}"
                          f" vs {sb.grid.points} x {sb.grid.half_extent}")
     grid = sa.grid
-    diff = sa.values - sb.values
+    b = turn_field(sb.values, grid, sb.angle - sa.angle)
+    diff = sa.values - b
     cell = grid.cell
-    na2 = cell * float(np.sum(np.abs(sa.values) ** 2))
-    nb2 = cell * float(np.sum(np.abs(sb.values) ** 2))
-    inner = cell * complex(np.sum(np.conj(sa.values) * sb.values))
-    gauge2 = max(na2 + nb2 - 2.0 * abs(inner), 0.0)
     return {
         "l1": float(integrate(np.abs(diff), grid)),
         "l2": float(np.sqrt(cell * np.sum(np.abs(diff) ** 2))),
         "linf": float(np.max(np.abs(diff))),
         "hs": float(sobolev_norm(diff, grid)),
-        "gauge_l2": float(np.sqrt(gauge2)),
+        "gauge_l2": gauge_distance(sa.values, b, cell),
     }

@@ -1,14 +1,15 @@
-"""Binary field snapshots, format RSFW1.
+"""Binary field snapshots, format RSFW2.
 
-Layout: the magic bytes "RSFW1\\n", one ASCII header line, then the raw
+Layout: the magic bytes "RSFW2\\n", one ASCII header line, then the raw
 samples.  The header holds, space separated: dim, the point count per
-axis, the half extent per axis, eps, and the time, with floats printed
-in shortest round-trip form; a tagged field carries one extra token.
-run() writes six tags: "nls", "nls-final", "wkb-amplitude", "wkb-final",
-"hydro-density" and "hydro-final"; Snapshot.kind reads the route before
-the first '-'.  Samples follow in row-major order as little-endian
-float64 (re, im) pairs, which is exactly a C-contiguous complex128
-buffer, so a write/read cycle is bit identical.
+axis, the half extent per axis, eps, the time and the frame angle
+(core.WaveField.angle), with floats printed in shortest round-trip form;
+a tagged field carries one extra token.  run() writes six tags: "nls",
+"nls-final", "wkb-amplitude", "wkb-final", "hydro-density" and
+"hydro-final"; Snapshot.kind reads the route before the first '-'.
+Samples follow in row-major order as little-endian float64 (re, im)
+pairs, which is exactly a C-contiguous complex128 buffer, so a
+write/read cycle is bit identical.  RSFW1, with no angle, reads at 0.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ import numpy as np
 
 from .core import GridSpec
 
-MAGIC = b"RSFW1\n"
+MAGIC = b"RSFW2\n"
+MAGIC_V1 = b"RSFW1\n"  # read only, at angle 0
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,7 @@ class Snapshot:
     eps: float
     t: float
     tag: str | None = None
+    angle: float = 0.0
 
     @property
     def kind(self) -> str | None:
@@ -40,22 +43,22 @@ class Snapshot:
         return self.tag.split("-")[0] if self.tag else None
 
 
-def _check_eps_and_time(eps: float, t: float) -> None:
-    if not (0 <= eps < math.inf and math.isfinite(t)):
-        raise ValueError(f"RSFW1 header needs a finite eps >= 0 and a finite "
-                         f"time, got eps = {eps}, t = {t}")
+def _check_header_values(eps: float, t: float, angle: float) -> None:
+    if not (0 <= eps < math.inf and math.isfinite(t) and math.isfinite(angle)):
+        raise ValueError(f"RSFW header needs a finite eps >= 0, a finite time and "
+                         f"a finite angle, got eps = {eps}, t = {t}, angle = {angle}")
 
 
 def save_field(path: str | Path, values: np.ndarray, grid: GridSpec,
-               eps: float, t: float, tag: str | None = None) -> None:
+               eps: float, t: float, tag: str | None = None, angle: float = 0.0) -> None:
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise ValueError(f"field shape {values.shape} does not match grid {grid.shape}")
-    _check_eps_and_time(eps, t)
+    _check_header_values(eps, t, angle)
     tokens = [str(grid.dim)]
     tokens += [str(n) for n in grid.points]
     tokens += [repr(float(L)) for L in grid.half_extent]
-    tokens += [repr(float(eps)), repr(float(t))]
+    tokens += [repr(float(eps)), repr(float(t)), repr(float(angle))]
     if tag is not None:
         if not tag or any(c.isspace() for c in tag):
             raise ValueError(f"snapshot tag must be a single token, got {tag!r}")
@@ -71,8 +74,8 @@ def save_field(path: str | Path, values: np.ndarray, grid: GridSpec,
 def load_field(path: str | Path) -> Snapshot:
     with open(path, "rb") as fh:
         magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path}: not an RSFW1 snapshot (bad magic {magic!r})")
+        if magic not in (MAGIC, MAGIC_V1):
+            raise ValueError(f"{path}: not an RSFW snapshot (bad magic {magic!r})")
         header = fh.readline()
         payload = fh.read()
     try:
@@ -83,13 +86,12 @@ def load_field(path: str | Path) -> Snapshot:
         eps = float(header[1 + 2 * dim])
         t = float(header[2 + 2 * dim])
         rest = header[3 + 2 * dim:]
+        angle = float(rest.pop(0)) if magic == MAGIC else 0.0
+        (tag,) = rest or [None]  # at most one tag
     except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed RSFW1 header {header!r}") from exc
-    if len(rest) > 1:
-        raise ValueError(f"{path}: malformed RSFW1 header {header!r}")
-    tag = rest[0] if rest else None
+        raise ValueError(f"{path}: malformed RSFW header {header!r}") from exc
     try:
-        _check_eps_and_time(eps, t)
+        _check_header_values(eps, t, angle)
         grid = GridSpec(half_extent, points)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
@@ -98,4 +100,4 @@ def load_field(path: str | Path) -> Snapshot:
         raise ValueError(
             f"{path}: payload holds {len(payload)} bytes, expected {16 * count}")
     values = np.frombuffer(payload, dtype="<c16").reshape(points).copy()
-    return Snapshot(values, grid, eps, t, tag)
+    return Snapshot(values, grid, eps, t, tag, angle)

@@ -11,16 +11,20 @@ Q = A + B Sigma0, P = C + D Sigma0, and
 
 The packet here leaves out the global phase S(t) and the branch of
 det(Q)^(-1/2), so it is exact up to one global phase factor: score it
-in gauge L2 (gauge_error).
+in gauge L2 (gauge_error).  It is evaluated at the lab points of any
+frame angle, so a state the NLS march holds in its rotating frame is
+scored with no turn.
 """
 
 import numpy as np
 
+from rotorwkb.core import gauge_distance, lab_points
 from rotorwkb.rays import flow_propagator
 
 
-def gaussian_packet(grid, params, t, q0, p0, sigma0):
-    """Samples of the exact packet at time t on the lab grid, up to a global
+def gaussian_packet(grid, params, t, q0, p0, sigma0, angle=0.0):
+    """Samples of the exact packet at time t at the lab points R(angle) x of
+    the nodes x (core.lab_points; angle 0 is the lab grid), up to a global
     phase; Im sigma0 must be positive definite."""
     d = grid.dim
     Phi = np.eye(2 * d) + flow_propagator(params, t, d)[0]
@@ -30,7 +34,7 @@ def gaussian_packet(grid, params, t, q0, p0, sigma0):
     z = Phi @ np.concatenate([q0, p0])
     q, p = z[:d], z[d:]
     width = P @ np.linalg.inv(Q)
-    X = [mesh - qj for mesh, qj in zip(grid.meshes, q)]
+    X = [mesh - qj for mesh, qj in zip(lab_points(grid, angle), q)]
     phase = sum(0.5 * width[i, j] * X[i] * X[j] + (p[i] * X[i] if i == j else 0.0)
                 for i in range(d) for j in range(d))
     return np.exp(1j * phase / params.eps) / np.sqrt(abs(np.linalg.det(Q)))
@@ -39,6 +43,4 @@ def gaussian_packet(grid, params, t, q0, p0, sigma0):
 def gauge_error(values, exact):
     """L2 distance of values from exact times the global phase that
     minimizes it, relative to the norm of exact."""
-    inner = complex(np.sum(np.conj(exact) * values))
-    gap = values - exact * (inner / abs(inner))
-    return float(np.sqrt(np.sum(np.abs(gap) ** 2) / np.sum(np.abs(exact) ** 2)))
+    return gauge_distance(values, exact) / float(np.linalg.norm(exact))

@@ -6,6 +6,7 @@ Sobolev norms, Gaussian profiles).
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from rotorwkb import (
     spectral_gradient,
     wkb_assemble,
 )
-from rotorwkb.core import turn_field
+from rotorwkb.core import gauge_distance, turn_field
 
 
 # ---------- parameters ----------
@@ -245,9 +246,38 @@ def test_every_march_rejects_a_bad_time_grid(T, dt):
     assert seen == []
     phrase = ("duration T must be nonnegative" if not (np.isfinite(T) and T >= 0)
               else "dt must be positive" if not (np.isfinite(dt) and dt > 0)
-              else r"T / dt is not finite: T = 1e\+300, dt = 1e-300")
+              else r"T = 1e\+300 at dt = 1e-300 takes n = T / dt = inf steps")
     with pytest.raises(ValueError, match=phrase):
         time_grid(T, dt)
+
+
+def test_time_grid_caps_the_step_count():
+    # finite (T, dt) whose march would never end; no march is started
+    from rotorwkb.core import MAX_STEPS, time_grid
+
+    assert time_grid(1.0, 1.0 / MAX_STEPS) == (MAX_STEPS, 1.0 / MAX_STEPS)
+    for T, dt, n in ((1.0, 1e-300, "1e+300"), (2.0, 1e-8, "2e+08")):
+        message = f"T = {T} at dt = {dt} takes n = T / dt = {n} steps, more than MAX_STEPS"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            time_grid(T, dt)
+
+
+# ---------- gauge distance ----------
+
+
+def test_gauge_distance_sees_through_a_global_phase_without_cancelling():
+    # two 64^2 fields 1e-8 apart: the distance formed from the norms and
+    # the inner product, sqrt(|a|^2 + |b|^2 - 2 |<a, b>|), reads 0 here
+    grid = GridSpec.square(64, 4.0)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    a /= np.sqrt(grid.cell * np.sum(np.abs(a) ** 2))
+    bump = rng.standard_normal(grid.shape)
+    gap = 1e-8 * bump / np.sqrt(grid.cell * np.sum(bump ** 2))
+    b = np.exp(0.7j) * (a + 1j * a * gap / np.abs(a))  # orthogonal to a pointwise
+    assert gauge_distance(a, b, grid.cell) == pytest.approx(1e-8, rel=1e-3)
+    assert gauge_distance(a, np.exp(-2.0j) * a, grid.cell) < 1e-14
+    assert gauge_distance(a, np.zeros_like(a), grid.cell) == pytest.approx(1.0)
 
 
 # ---------- grids ----------
@@ -410,19 +440,28 @@ def test_turning_back_gives_the_lab_samples_and_undoes_itself(dim, angle):
     # about x3, so the x3 samples stay where they are
     grid = (GridSpec.square(64, 8.0) if dim == 2
             else GridSpec((8.0, 8.0, 4.0), (64, 64, 16)))
-    params = SimParams(eps=0.25, omega=(1.0,) * dim)
-    frame = WaveField(_frame_samples(grid, angle), 0.0, grid, params, angle)
-    lab = frame.lab
-    assert lab.angle == 0.0 and frame.lab is lab
-    np.testing.assert_allclose(lab.values, _bump(grid.meshes), rtol=0, atol=1e-12)
-    again = WaveField(lab.values, 0.0, grid, params, -angle).lab
-    np.testing.assert_allclose(again.values, frame.values, rtol=0, atol=1e-12)
+    frame = _frame_samples(grid, angle)
+    lab = turn_field(frame, grid, angle)
+    np.testing.assert_allclose(lab, _bump(grid.meshes), rtol=0, atol=1e-12)
+    again = turn_field(lab, grid, -angle)
+    np.testing.assert_allclose(again, frame, rtol=0, atol=1e-12)
+
+
+def test_a_real_field_turns_as_its_complex_cast():
+    grid = GridSpec.square(64, 8.0)
+    rho = np.abs(_bump(grid.meshes)) ** 2
+    for angle in (0.0, 0.3, 2.5):
+        turned = turn_field(rho, grid, angle)
+        np.testing.assert_array_equal(turned, turn_field(rho + 0j, grid, angle))
+        np.testing.assert_allclose(turned.imag, 0.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(turn_field(rho, grid, 0.3).real,
+                               np.abs(_frame_samples(grid, -0.3)) ** 2, rtol=0, atol=1e-10)
 
 
 def test_angle_zero_keeps_every_bit():
     grid = GridSpec.square(32, 4.0)
     psi = WaveField(_bump(grid.meshes), 0.0, grid, SimParams(eps=0.25))
-    assert psi.angle == 0.0 and psi.lab is psi
+    assert psi.angle == 0.0
     assert turn_field(psi.values, grid, 0.0).tobytes() == psi.values.tobytes()
     assert turn_field(psi.values, grid, 2 * np.pi).tobytes() == psi.values.tobytes()
     assert potential_grid(grid, (2.0, 1.0), 0.0).tobytes() == \

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import rotorwkb
-from rotorwkb import cli, hydro
+from rotorwkb import cli, hydro, nls
 from rotorwkb.config import ConfigError, RunConfig, serialize
-from rotorwkb.core import (GridSpec, Nonlinearity, NumericalAbort, SimParams,
-                           boundary_max)
-from rotorwkb.runner import (SweepError, _worker_count, build_ray_bundle,
+from rotorwkb.core import (GridSpec, Nonlinearity, NumericalAbort, SimParams, WaveField,
+                           boundary_max, turn_field)
+from rotorwkb.observables import record_from_wavefield
+from rotorwkb.runner import (SweepError, _worker_count, amplitude_field, build_ray_bundle,
                              build_wavefield, build_wkb_state, compare_fields,
                              epsilon_sweep, run)
 from rotorwkb.snapshots import MAGIC, load_field, save_field
@@ -375,6 +376,16 @@ def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert "[run].stride: must be finite" in capsys.readouterr().err
 
 
+def test_cli_refuses_a_step_count_above_the_cap(tmp_path, capsys, monkeypatch):
+    # finite T and dt whose march would never end: exit 2 before any step.
+    # Without the cap the march would start, and fail here on the missing plan
+    monkeypatch.setattr(nls, "SplitStepPlan", None)
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o")
+    assert cli.main(["run-nls", path, "--run.dt=1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "more than MAX_STEPS" in err
+
+
 def test_cli_checks_the_step_bounds_once_per_run(tmp_path, capsys, monkeypatch):
     # the rotation drift bounds the advective step on both routes, so
     # dt = 0.5 is rejected by run-wkb and run-hydro alike
@@ -550,6 +561,50 @@ def test_cli_compare_refuses_two_kinds_of_field(tmp_path, capsys):
 ROTATING = "[sim]\nOmega = 0.5\nomega = 1.0 1.5\n"
 
 
+def _rotating_nls_final(tmp_path):
+    """The final.rsfw of a short run-nls in an anisotropic rotating trap,
+    held in its frame, and the config that wrote it."""
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o",
+                     "T = 0.4\ndt = 0.02\ncenter = 1.0 0.5\n" + ROTATING)
+    assert cli.main(["run-nls", path]) == 0
+    final = tmp_path / "o" / "final.rsfw"
+    assert load_field(final).angle == pytest.approx(0.5 * 0.4, rel=1e-14)
+    return final, path
+
+
+def test_compare_reads_an_nls_final_at_its_angle(tmp_path, capsys):
+    # the same field saved at angle 0: compare turns the second file to
+    # the first one's angle, in either order
+    final, _ = _rotating_nls_final(tmp_path)
+    snap = load_field(final)
+    lab = tmp_path / "lab.rsfw"
+    save_field(lab, turn_field(snap.values, snap.grid, snap.angle), snap.grid,
+               snap.eps, snap.t, snap.tag)
+    assert all(value == 0.0 for value in compare_fields(lab, final).values())
+    forward = compare_fields(final, lab)
+    assert forward["l2"] < 1e-12 and forward["gauge_l2"] < 1e-12
+    assert cli.main(["compare", str(final), str(lab)]) == 0
+    assert "gauge_l2 = " in capsys.readouterr().out
+
+
+def test_initial_file_of_an_nls_final_is_its_lab_field(tmp_path):
+    final, path = _rotating_nls_final(tmp_path)
+    snap = load_field(final)
+    cfg = rotorwkb.apply_overrides(rotorwkb.load_config(path),
+                                   {"run.initial": f"file:{final}"})
+    lab = amplitude_field(cfg)
+    np.testing.assert_array_equal(lab, turn_field(snap.values, snap.grid, snap.angle))
+    assert np.max(np.abs(lab - snap.values)) > 1e-3
+    # the lab samples carry the frame state's record, the trap and xy
+    # included, up to what the turn loses where the field meets the box
+    sim = replace(cfg.sim, eps=snap.eps)
+    at_angle = record_from_wavefield(WaveField(snap.values, snap.t, snap.grid, sim,
+                                               snap.angle))
+    on_lab = record_from_wavefield(WaveField(lab, snap.t, snap.grid, sim))
+    for name in ("mass", "energy", "m_eps", "n", "X", "xy"):
+        assert getattr(on_lab, name) == pytest.approx(getattr(at_angle, name), rel=1e-6)
+
+
 def test_cli_observables_matches_the_run_table(tmp_path, capsys):
     # every observed state is snapshotted, so scoring the snapshots
     # reproduces the run's own table, rotation energy and torque included
@@ -644,7 +699,7 @@ def test_cli_observables_rejects_limit_snapshots(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
     # a header with eps = nan is malformed, and the message names the file
     bad = tmp_path / "nan.rsfw"
-    bad.write_bytes(MAGIC + b"2 64 64 4.0 4.0 nan 0.0\n" + bytes(16 * 64 * 64))
+    bad.write_bytes(MAGIC + b"2 64 64 4.0 4.0 nan 0.0 0.0\n" + bytes(16 * 64 * 64))
     assert cli.main(["observables", path, str(bad)]) == 2
     assert str(bad) in capsys.readouterr().err
 

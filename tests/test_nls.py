@@ -12,6 +12,7 @@ import pytest
 from packets import gauge_error, gaussian_packet
 
 from rotorwkb import nls
+from rotorwkb.core import lab_points
 from rotorwkb import (
     GridSpec,
     Nonlinearity,
@@ -171,6 +172,8 @@ def test_rotation_moves_centroid_counterclockwise():
     # With a vanishing trap and eps -> 0 only the rotation term acts on
     # observables: d<x1>/dt = -Omega <x2>, d<x2>/dt = +Omega <x1>, so the
     # density centroid follows R(Omega t) applied to the initial center.
+    # The march holds the state in its frame, so the centroid is read at
+    # the lab points of that frame.
     grid = GridSpec.square(128, 8.0)
     params = SimParams(eps=1e-6, Omega=1.0, omega=(0.0, 0.0),
                        nonlinearity=Nonlinearity.none())
@@ -179,7 +182,7 @@ def test_rotation_moves_centroid_counterclockwise():
     T = np.pi / 4.0
     out = evolve_nls(psi0, T=T, dt=1e-3)
     rho = out.density()
-    X1, X2 = grid.meshes
+    X1, X2 = lab_points(grid, out.angle)
     c1 = integrate(X1 * rho, grid) / integrate(rho, grid)
     c2 = integrate(X2 * rho, grid) / integrate(rho, grid)
     assert c1 == pytest.approx(1.5 * np.cos(T), abs=1e-4)
@@ -216,21 +219,39 @@ def test_reversibility():
 @pytest.mark.parametrize("Omega, omega", [(0.5, (1.0, 1.5)), (1.2, (1.0, 1.4))])
 def test_march_meets_the_exact_packet_at_second_order(Omega, omega):
     # f = 0 in an anisotropic rotating trap (Omega > omega1 in the second
-    # case): the exact Gaussian packet is the truth.  Halving dt divides
-    # the error by 4, and mass holds to roundoff.
+    # case): the exact Gaussian packet, read at the lab points of the
+    # march's frame, is the truth.  Halving dt divides the error by 4,
+    # and mass holds to roundoff.
     grid = GridSpec.square(128, 8.0)
     params = SimParams(eps=0.25, Omega=Omega, omega=omega,
                        nonlinearity=Nonlinearity.none())
     packet = dict(q0=np.array([1.0, 0.5]), p0=np.array([0.3, -0.2]),
                   sigma0=np.array([[0.2 + 1.0j, 0.1], [0.1, -0.1 + 0.7j]]))
     psi0 = WaveField(gaussian_packet(grid, params, 0.0, **packet), 0.0, grid, params)
-    exact = gaussian_packet(grid, params, 1.0, **packet)
     errors = []
     for dt in (2e-3, 1e-3):
         out = evolve_nls(psi0, T=1.0, dt=dt)
+        exact = gaussian_packet(grid, params, 1.0, angle=out.angle, **packet)
         errors.append(gauge_error(out.values, exact))
         assert abs(mass(out) - mass(psi0)) / mass(psi0) < 1e-12
     assert 3.5 <= errors[0] / errors[1] <= 4.5
+
+
+def test_3d_march_meets_the_exact_packet_in_its_frame():
+    # the returned state is the frame state as marched; turned back to
+    # the lab grid, this packet's samples lose about 4e-5 to the spectral
+    # corners that leave the turned band, ten times the march's own error
+    grid = GridSpec.square(32, 6.0, dim=3)
+    params = SimParams(eps=0.5, Omega=0.7, omega=(1.0, 1.3, 0.8),
+                       nonlinearity=Nonlinearity.none())
+    packet = dict(q0=np.array([1.0, 0.5, 0.3]), p0=np.array([0.3, -0.2, 0.1]),
+                  sigma0=np.array([[0.2 + 1.0j, 0.1, 0.0], [0.1, -0.1 + 0.7j, 0.05],
+                                   [0.0, 0.05, 0.1 + 0.8j]]))
+    psi0 = WaveField(gaussian_packet(grid, params, 0.0, **packet), 0.0, grid, params)
+    out = evolve_nls(psi0, T=0.5, dt=2e-3)
+    assert out.angle == pytest.approx(0.7 * 0.5, rel=1e-14)
+    exact = gaussian_packet(grid, params, 0.5, angle=out.angle, **packet)
+    assert gauge_error(out.values, exact) < 1e-5
 
 
 def test_observer_cadence_and_remainder_step():
@@ -276,9 +297,9 @@ def test_mass_conserved_along_full_model_run():
 @pytest.mark.parametrize("dim, omega", [(2, (1.0, 1.5)), (3, (1.0, 1.5, 2.0))])
 def test_merged_march_is_the_palindrome(dim, omega):
     # evolve_nls merges the closing and opening P halves of adjacent
-    # steps; every state it hands out must still be the plain palindrome's,
-    # in the frame at angle Omega t, and the final state that one turned
-    # back to the lab.  The 3d case turns about x3.
+    # steps; every state it hands out, the final one included, must still
+    # be the plain palindrome's, in the frame at angle Omega t.  The 3d
+    # case turns about x3.
     grid = GridSpec.square(32 if dim == 2 else 16, 4.0, dim=dim)
     params = SimParams(eps=0.25, Omega=0.9, omega=omega)
     X = grid.meshes
@@ -295,8 +316,8 @@ def test_merged_march_is_the_palindrome(dim, omega):
         if step in seen:
             assert seen[step].angle == pytest.approx(0.9 * step * dt, rel=1e-14)
             np.testing.assert_allclose(seen[step].values, psi.values, rtol=0, atol=1e-13)
-    assert out.angle == 0.0
-    np.testing.assert_allclose(out.values, psi.lab.values, rtol=0, atol=1e-13)
+    assert out.angle == pytest.approx(psi.angle, rel=1e-14)
+    np.testing.assert_allclose(out.values, psi.values, rtol=0, atol=1e-13)
     m0 = mass(psi0)
     for p in list(seen.values()) + [out]:
         assert abs(mass(p) - m0) / m0 < 1e-13
