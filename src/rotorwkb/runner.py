@@ -317,9 +317,13 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     and raises SweepError after sweep.json is written; a failed reference
     raises its own exception and writes nothing.
 
-    Workers start by the spawn method, which is safe in a caller that
-    has threads; they import the caller's main module, so a script that
+    A caller that runs one Python thread on Linux forks its workers, so
+    they start with numpy and the package loaded; the pool launches them
+    before its own manager thread, so no other thread can hold a lock at
+    the fork.  A caller with threads, or on another platform, spawns them,
+    and spawned workers import the caller's main module, so a script that
     calls this keeps its top-level code under `if __name__ == "__main__"`.
+    Either way tasks and results cross as pickles.
     """
     eps_list = tuple(float(e) for e in eps_list)
     if len(eps_list) < 3:
@@ -331,6 +335,9 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
                           f"and positive, got {list(eps_list)}")
     if mode not in ("nls", "wkb", "both"):
         raise ConfigError(f"sweep mode must be nls, wkb, or both, got {mode!r}")
+    if not cfg.T > 0:
+        raise ConfigError(f"[run].T: a sweep needs T > 0 (at T = 0 every member "
+                          f"equals the reference), got {cfg.T!r}")
 
     base_out = Path(cfg.outdir)
     base_out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +345,12 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     # imported here, not at module level: multiprocessing adds over 10 ms
     # to every import of the package, and only sweeps use it
     import multiprocessing
+    import threading
     from concurrent.futures import ProcessPoolExecutor
+
+    # fork only where no other thread of the caller can hold a lock
+    method = ("fork" if sys.platform == "linux" and threading.active_count() == 1
+              else "spawn")
 
     routes = [r for r in ("wkb", "nls") if mode in (r, "both")]
     grid = cfg.grid
@@ -346,7 +358,7 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     results: dict[float, tuple[dict[str, float], float]] = {}
     failure: tuple[float, Exception] | None = None
     with ProcessPoolExecutor(max_workers=_worker_count(1 + len(routes) * len(eps_list)),
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+                             mp_context=multiprocessing.get_context(method)) as pool:
         # longest first: the reference and the WKB members, then the NLS ones
         ref_future = pool.submit(_reference_task, cfg)
         futures = {}

@@ -6,6 +6,9 @@ import hashlib
 import json
 import os
 import pickle
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -230,6 +233,23 @@ def test_sweep_validates_the_eps_list(tmp_path):
     assert "sweep mode" in str(err.value)
 
 
+def test_sweep_refuses_a_horizon_that_is_not_positive(tmp_path, capsys):
+    # at T = 0 every member is the reference: no error to fit a slope to
+    for T in (0.0, -0.5):
+        cfg = small_cfg(tmp_path / "s", grid=GridSpec.square(32, 4.0), T=T)
+        with pytest.raises(ConfigError, match=r"^\[run\]\.T: "):
+            epsilon_sweep(cfg, (0.5, 0.25, 0.125), mode="both")
+        assert not (tmp_path / "s").exists()
+    path = tmp_path / "run.cfg"
+    path.write_text("[grid]\npoints = 32 32\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\noutdir = {tmp_path / 'sweep'}\nT = 0\n", encoding="utf-8")
+    for mode in ("both", "wkb"):
+        assert cli.main(["sweep", str(path), "--eps", "0.25,0.125,0.0625",
+                         "--mode", mode]) == 2
+        assert capsys.readouterr().err.startswith("config error: [run].T: ")
+        assert not (tmp_path / "sweep").exists()
+
+
 def test_failed_member_aborts_the_sweep_but_keeps_survivors(tmp_path):
     # dt sits between the dispersive step bounds of the largest and the
     # smaller eps values, so exactly the eps = 0.25 member is rejected
@@ -302,21 +322,76 @@ def test_reference_abort_reaches_the_sweep_caller(tmp_path):
     assert not (tmp_path / "sweep" / "sweep.json").exists()
 
 
+def sweep_outputs(out):
+    """A small two-route sweep into out: sweep.json without its wall
+    times, and the artifact hashes of every member's manifest."""
+    epsilon_sweep(small_cfg(out, grid=GridSpec.square(32, 4.0), T=0.02),
+                  (0.5, 0.25, 0.125), mode="both")
+    summary = json.loads((out / "sweep.json").read_text())
+    del summary["wall_times_s"]
+    hashes = {m.parent.name: json.loads(m.read_text())["artifacts"]
+              for m in out.glob("*/manifest.json")}
+    return summary, hashes
+
+
+@contextmanager
+def other_thread():
+    """A live second thread in the caller for the duration of a block."""
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
 def test_sweep_output_does_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     def sweep(workers):
         monkeypatch.setenv("ROTORWKB_THREADS", str(workers))
-        out = tmp_path / f"w{workers}"
-        epsilon_sweep(small_cfg(out, grid=GridSpec.square(32, 4.0), T=0.02),
-                      (0.5, 0.25, 0.125), mode="both")
-        summary = json.loads((out / "sweep.json").read_text())
-        del summary["wall_times_s"]
-        hashes = {m.parent.name: json.loads(m.read_text())["artifacts"]
-                  for m in out.glob("*/manifest.json")}
-        return summary, hashes
+        return sweep_outputs(tmp_path / f"w{workers}")
 
     one, two = sweep(1), sweep(2)
     assert one == two
     assert len(one[1]) == 6
+
+
+def test_sweep_output_does_not_depend_on_the_start_method(tmp_path):
+    # a single-threaded caller forks its workers, one with threads spawns them
+    forked = sweep_outputs(tmp_path / "fork")
+    with other_thread():
+        spawned = sweep_outputs(tmp_path / "spawn")
+    assert forked == spawned
+    assert len(forked[1]) == 6
+
+
+def test_sweep_forks_only_from_a_single_threaded_linux_caller(tmp_path, monkeypatch):
+    import multiprocessing
+
+    class Started(Exception):
+        pass
+
+    methods = []
+
+    def get_context(method):
+        methods.append(method)
+        raise Started  # the rule is all this test looks at: start no pool
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    cfg = small_cfg(tmp_path / "s", T=0.02)
+    eps = (0.5, 0.25, 0.125)
+    with pytest.raises(Started):
+        epsilon_sweep(cfg, eps)
+    with other_thread(), pytest.raises(Started):
+        epsilon_sweep(cfg, eps)
+    monkeypatch.setattr(sys, "platform", "darwin")
+    with pytest.raises(Started):
+        epsilon_sweep(cfg, eps)
+    monkeypatch.undo()
+    expected = "fork" if sys.platform == "linux" else "spawn"
+    assert methods == [expected, "spawn", "spawn"]
 
 
 def test_worker_count_is_capped_by_the_usable_cpus(monkeypatch):
