@@ -12,7 +12,8 @@ x_perp = (x2, -x1).  In 3d the rotation acts in the (x1, x2) plane only.
 This module owns the parameter and field containers, the periodic grid,
 WKB assembly psi = a exp(i Phi / eps), reference initial data, spectral
 derivatives, Sobolev-type and gauge norms, the time grid every marcher
-shares, and the turn of a field from one rotating-frame angle to another.
+shares, the turn of a field from one rotating-frame angle to another,
+and the CPU budget that sizes the sweep's workers and the march's strips.
 Field containers are immutable after construction, and they and the
 parameters pickle, so they cross into worker processes.
 """
@@ -20,6 +21,7 @@ parameters pickle, so they cross into worker processes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -174,6 +176,27 @@ def time_grid(T: float, dt: float) -> tuple[int, float]:
                          f"more than MAX_STEPS = {MAX_STEPS}")
     n = math.ceil(ratio * (1.0 - 1e-9))
     return n, T / n if n else dt
+
+
+# ---------- CPU budget ----------
+
+def cpu_budget() -> int:
+    """The CPUs one process may keep busy: ROTORWKB_THREADS when set,
+    else the CPUs this process may run on.  It caps the sweep's worker
+    processes and the WKB march's row strips; every sweep worker sets
+    its own budget to 1."""
+    raw = os.environ.get("ROTORWKB_THREADS", "")
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ValueError(f"ROTORWKB_THREADS must be an integer, got {raw!r}")
+        if cap < 1:
+            raise ValueError(f"ROTORWKB_THREADS must be >= 1, got {cap}")
+        return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # ---------- grid ----------

@@ -40,17 +40,28 @@ gradient are the same stencils in np.roll form, the reference the tests
 compare against.  The march allocates its grid arrays once, runs
 low-storage RK4 with the classical accumulation order, and stops before
 a step that exceeds the advective bound 0.5 dx / max|v + w|.
+
+The march cuts the grid along axis 0 into row strips, one per CPU of
+the budget (core.cpu_budget: ROTORWKB_THREADS, else the usable CPUs) as
+long as each strip keeps MIN_STRIP_POINTS grid points, so small grids
+stay in one strip.  The strips run on threads, since numpy releases the
+interpreter lock inside each pass.  Every term is pointwise or a
++-2-row stencil, so a strip reads 2 halo rows on either side and gives
+the bits of the whole-grid pass; the NLS march stays serial.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import (GridSpec, NumericalAbort, SimParams, WaveField, _freeze,
-                   potential_gradient, rotation_generator, time_grid)
+                   cpu_budget, expi, potential_gradient, rotation_generator,
+                   time_grid)
 from .rays import QuadraticPhase, quadratic_phase_evolve
 
 
@@ -158,8 +169,8 @@ class WKBState:
         if not self.eps > 0:
             raise ValueError("cannot assemble a wavefunction at eps = 0")
         phase = (self.phi + self.ray_phase_field()) / self.eps
-        return WaveField(self.amplitude() * np.exp(1j * phase), self.t,
-                         self.grid, self.params)
+        return WaveField(self.amplitude() * expi(phase), self.t, self.grid,
+                         self.params)
 
 
 @dataclass(frozen=True)
@@ -210,12 +221,17 @@ def drift_fields(drift: QuadraticPhase, grid: GridSpec, params: SimParams):
 
 # ---------- semi-discrete right-hand side ----------
 
+MIN_STRIP_POINTS = 2 ** 15  # fewest grid points the march gives one strip
+
+
 class _Wrapped:
-    """A grid array with 2 periodic ghost layers per axis.
+    """A strip-shaped array with 2 ghost layers per axis.
 
     shifts[axis] are the views u(+1), u(-1), u(+2), u(-2) along one axis,
     the operands of the stencils; the corners are never read, so they
-    are never filled.
+    are never filled.  Along axis 0 the ghosts are the halo, the 2 grid
+    rows before the strip and the 2 after it; along the other axes they
+    wrap the strip periodically.
     """
 
     def __init__(self, shape: tuple[int, ...]):
@@ -228,39 +244,66 @@ class _Wrapped:
 
         self.shifts = [tuple(along(a, 2 + s, n + 2 + s) for s in (1, -1, 2, -2))
                        for a, n in enumerate(shape)]
-        self.ghosts = [((along(a, 0, 2), along(a, n, n + 2)),
-                        (along(a, n + 2, n + 4), along(a, 2, 4)))
-                       for a, n in enumerate(shape)]
+        self.halo = (along(0, 0, 2), along(0, shape[0] + 2, shape[0] + 4))
+        self.ghosts = {a: ((along(a, 0, 2), along(a, n, n + 2)),
+                           (along(a, n + 2, n + 4), along(a, 2, 4)))
+                       for a, n in enumerate(shape) if a > 0}
 
     def fill(self, axes):
         for a in axes:
             for ghost, source in self.ghosts[a]:
                 ghost[...] = source
 
-    def load(self, u: np.ndarray):
+    def load(self, u: np.ndarray, halo):
+        """u into the core, and its halo, the 2 rows before the strip and
+        the 2 after it, into the axis-0 ghosts."""
         self.inner[...] = u
-        self.fill(range(u.ndim))
+        for ghost, rows in zip(self.halo, halo):
+            ghost[...] = rows
+        self.fill(range(1, u.ndim))
 
 
-class _Workspace:
-    """The grid buffers a march hands to every right-hand side.
+class _Strip:
+    """Rows lo:hi of the grid and the buffers of their right-hand side.
 
-    field holds the wrapped copy of the field being differentiated and
-    product that of one advective product adv_j u.  adv = v + w is left
-    in place after each call, so the march reads its speed from it.
+    A strip reads its rows and its halo, rows lo - 2, lo - 1 and hi,
+    hi + 1 taken around the grid, of the march's arrays and writes only
+    its rows; one strip over the whole grid reads the periodic wrap.
+    Strips of at least 2 rows keep each pair of halo rows contiguous.
+    field holds the wrapped copy of the field being differentiated,
+    product that of one advective product adv_j u, and edge 3 halos
+    formed from the inputs.  adv = v + w on the strip's rows is left in
+    place after each call, so the march reads its speed from it.
     """
 
-    def __init__(self, grid: GridSpec):
-        shape = grid.shape
+    def __init__(self, grid: GridSpec, lo: int, hi: int):
+        n0 = grid.shape[0]
+        shape = (hi - lo,) + grid.shape[1:]
+        self.dim = grid.dim
+        self.rows = slice(lo, hi)
+        self.halo_rows = (slice((lo - 2) % n0, (lo - 2) % n0 + 2),
+                          slice(hi % n0, hi % n0 + 2))
         self.field = _Wrapped(shape)
         self.product = _Wrapped(shape)
         self.adv = np.empty((grid.dim,) + shape)
         self.rho = np.empty(shape)
         self.tmp = np.empty(shape)
         self.tmp2 = np.empty(shape)
+        self.edge = np.empty((3, 2, 2) + grid.shape[1:])
         # the stencils' 1/(12 h) and 1/(12 h^2), folded into their weights
         self.c1 = [1.0 / (12.0 * h) for h in grid.spacing]
         self.c2 = [1.0 / (12.0 * h * h) for h in grid.spacing]
+
+    def part(self, u: np.ndarray) -> np.ndarray:
+        """The strip's rows of a grid array or of a stack of them (v)."""
+        return u[self.rows] if u.ndim == self.dim else u[:, self.rows]
+
+    def parts(self, arrays) -> list[np.ndarray]:
+        return [self.part(u) for u in arrays]
+
+    def halo_of(self, u: np.ndarray) -> list[np.ndarray]:
+        """The halo of a grid array: its 2 rows before and 2 after the strip."""
+        return [u[rows] for rows in self.halo_rows]
 
 
 def _d1(out, shifts, c, tmp):
@@ -298,77 +341,95 @@ def _add_d2(acc, shifts, c, tmp):
 
 
 def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
-                eps: float, out, work: _Workspace):
-    """Write the rates of (alpha, beta, v) into out[:3]; return f(rho).
+                eps: float, out, strip: _Strip):
+    """Write the rates of (alpha, beta, v) on the strip's rows into out[:3];
+    return f(rho) on those rows.
 
     The amplitude advection is in split (skew-symmetric) form.  Each
     differentiated field is wrapped once, and D1 and D2 along every axis
-    read shifts of that one copy.  f(rho) is handed out for
-    _phase_rate, so the WKB route reads it without a second pass and
-    the limit route never forms the phase rate.
+    read shifts of that one copy.  The halo rows of the products adv_0 u
+    and of f(rho) are formed again from the inputs' halo rows, so every
+    strip gets the bits of the whole-grid pass.  f(rho) is handed out for
+    _phase_rate, so the WKB route reads it without a second pass and the
+    limit route never forms the phase rate.
     """
-    dalpha, dbeta, dv = out[:3]
-    adv, tmp, tmp2, c1 = work.adv, work.tmp, work.tmp2, work.c1
-    field, product = work.field, work.product
+    dalpha, dbeta, dv = strip.parts(out[:3])
+    adv, tmp, tmp2, c1 = strip.adv, strip.tmp, strip.tmp2, strip.c1
+    field, product = strip.field, strip.product
+    adv_halo, rho_halo, square = strip.edge
+    vs = strip.part(v)
     for j in range(grid.dim):
-        np.add(v[j], w[j], out=adv[j])
+        np.add(vs[j], strip.part(w[j]), out=adv[j])
+    for a, v0, w0 in zip(adv_halo, strip.halo_of(v[0]), strip.halo_of(w[0])):
+        np.add(v0, w0, out=a)
 
     # d_t a = -(1/2)[adv . D1 a + D1 . (a adv)] + (i eps / 2) Lap a
     dalpha.fill(0.0)
     dbeta.fill(0.0)
-    for u, rate, other, half_eps in ((alpha, dalpha, dbeta, 0.5 * eps),
-                                     (beta, dbeta, dalpha, -0.5 * eps)):
-        field.load(u)
+    for whole, rate, other, half_eps in ((alpha, dalpha, dbeta, 0.5 * eps),
+                                         (beta, dbeta, dalpha, -0.5 * eps)):
+        u = strip.part(whole)
+        field.load(u, strip.halo_of(whole))
         for j in range(grid.dim):
             _d1(tmp, field.shifts[j], -0.5 * c1[j], tmp2)
             tmp *= adv[j]
             rate += tmp
             np.multiply(adv[j], u, out=product.inner)
-            product.fill((j,))
+            if j == 0:
+                for ghost, a, u_halo in zip(product.halo, adv_halo, field.halo):
+                    np.multiply(a, u_halo, out=ghost)
+            else:
+                product.fill((j,))
             _add_d1(rate, product.shifts[j], -0.5 * c1[j], tmp)
         if eps > 0:
             for j in range(grid.dim):
-                _add_d2(other, field.shifts[j], half_eps * work.c2[j], tmp)
-            np.multiply(u, 30.0 * half_eps * sum(work.c2), out=tmp)
+                _add_d2(other, field.shifts[j], half_eps * strip.c2[j], tmp)
+            np.multiply(u, 30.0 * half_eps * sum(strip.c2), out=tmp)
             other -= tmp
 
     # d_t v = -(adv . D1 v + coupling v + D1 f(rho))
-    rho = np.multiply(alpha, alpha, out=work.rho)
-    rho += np.multiply(beta, beta, out=tmp)
+    a, b = strip.parts((alpha, beta))
+    rho = np.multiply(a, a, out=strip.rho)
+    rho += np.multiply(b, b, out=tmp)
+    for r, sq, a_h, b_h in zip(rho_halo, square, strip.halo_of(alpha),
+                               strip.halo_of(beta)):
+        np.multiply(a_h, a_h, out=r)
+        r += np.multiply(b_h, b_h, out=sq)
     f_rho = params.nonlinearity.f(rho)
-    field.load(f_rho)
+    field.load(f_rho, [params.nonlinearity.f(r) for r in rho_halo])
     for i in range(grid.dim):
         _d1(dv[i], field.shifts[i], -c1[i], tmp)
     for i in range(grid.dim):
-        field.load(v[i])
+        field.load(vs[i], strip.halo_of(v[i]))
         for j in range(grid.dim):
             _d1(tmp, field.shifts[j], -c1[j], tmp2)
             tmp *= adv[j]
             dv[i] += tmp
             if coupling[i, j] != 0.0:
-                dv[i] -= np.multiply(v[j], coupling[i, j], out=tmp)
+                dv[i] -= np.multiply(vs[j], coupling[i, j], out=tmp)
     return f_rho
 
 
-def _phase_rate(v, w, f_rho, *, out, work: _Workspace):
-    """Write d_t phi = -(w . v + |v|^2/2 + f(rho)) into out."""
-    tmp = work.tmp
-    np.negative(f_rho, out=out)
+def _phase_rate(v, w, f_rho, *, out, strip: _Strip):
+    """Write d_t phi = -(w . v + |v|^2/2 + f(rho)) on the strip's rows
+    into out."""
+    tmp, vs, rate = strip.tmp, strip.part(v), strip.part(out)
+    np.negative(f_rho, out=rate)
     for j in range(len(w)):
-        np.multiply(v[j], 0.5, out=tmp)
-        tmp += w[j]
-        tmp *= v[j]
-        out -= tmp
+        np.multiply(vs[j], 0.5, out=tmp)
+        tmp += strip.part(w[j])
+        tmp *= vs[j]
+        rate -= tmp
 
 
 def rhs_wkb(state: WKBState):
     """Time derivative of (alpha, beta, v, phi) at the state's drift and eps."""
     w, coupling = drift_fields(state.drift, state.grid, state.params)
-    work = _Workspace(state.grid)
+    whole = _Strip(state.grid, 0, state.grid.shape[0])
     out = [np.empty_like(u) for u in (state.alpha, state.beta, state.v, state.phi)]
     f_rho = _fields_rhs(state.alpha, state.beta, state.v, w, coupling, state.grid,
-                        state.params, state.eps, out, work)
-    _phase_rate(state.v, w, f_rho, out=out[3], work=work)
+                        state.params, state.eps, out, whole)
+    _phase_rate(state.v, w, f_rho, out=out[3], strip=whole)
     return tuple(out)
 
 
@@ -444,13 +505,18 @@ def _sponge_profile(grid: GridSpec, strength: float) -> np.ndarray:
     return strength * sigma
 
 
-def _advective_bound(adv, grid: GridSpec, speed2=None, square=None) -> float:
-    """0.5 dx / max|adv|, the advective step bound of the speed field adv;
-    speed2 and square are optional buffers of the grid's shape."""
+def _speed2_max(adv, speed2=None, square=None) -> float:
+    """max |adv|^2 over the points of the speed field adv; speed2 and
+    square are optional buffers of its points' shape."""
     speed2 = np.multiply(adv[0], adv[0], out=speed2)
     for a in adv[1:]:
         speed2 += np.multiply(a, a, out=square)
-    vmax = float(np.sqrt(speed2.max()))
+    return float(speed2.max())
+
+
+def _advective_bound(speed2_max: float, grid: GridSpec) -> float:
+    """0.5 dx / max|adv|, the advective step bound for max |adv|^2."""
+    vmax = float(np.sqrt(speed2_max))
     return 0.5 * min(grid.spacing) / vmax if vmax > 0 else np.inf
 
 
@@ -458,7 +524,8 @@ def cfl_limits(state: WKBState) -> tuple[float, float]:
     """Advective and dispersive step bounds 0.5 dx/max|v+w|, 0.2 dx^2/eps,
     with eps the state's (no dispersive bound at eps = 0)."""
     w, _ = drift_fields(state.drift, state.grid, state.params)
-    adv = _advective_bound([v + wj for v, wj in zip(state.v, w)], state.grid)
+    adv = _advective_bound(_speed2_max([v + wj for v, wj in zip(state.v, w)]),
+                           state.grid)
     dx = min(state.grid.spacing)
     disp = 0.2 * dx * dx / state.eps if state.eps > 0 else np.inf
     return adv, disp
@@ -471,6 +538,46 @@ def _stage(stage, y, c, k):
         s += u
 
 
+def _strips(grid: GridSpec) -> list[_Strip]:
+    """The march's row strips: one per CPU of the budget, as long as each
+    keeps MIN_STRIP_POINTS grid points; small grids stay in one strip."""
+    n0 = grid.shape[0]
+    count = max(1, min(cpu_budget(), math.prod(grid.shape) // MIN_STRIP_POINTS,
+                       n0 // 2))
+    cuts = [n0 * i // count for i in range(count + 1)]
+    return [_Strip(grid, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _strip_pool(count: int):
+    """The threads of a march's strips beyond the first, which runs on
+    the calling thread; shut down when its with block exits."""
+    if count == 1:
+        return contextlib.nullcontext()
+    # imported here, not at module level: every import of the package
+    # would pay for it, and only a march with several strips uses it
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(count - 1, thread_name_prefix="rotorwkb-strip")
+
+
+def _on_strips(pool, strips, task, *args) -> list:
+    """[task(strip, *args) for strip in strips]: strip 0 on the calling
+    thread, the others on pool.  It waits for every strip before it
+    returns or raises, as the strips share the march's arrays."""
+    def one(strip):
+        # numpy's error state is per thread; a genuine blowup is reported
+        # via NumericalAbort, not warning spam
+        with np.errstate(over="ignore", invalid="ignore"):
+            return task(strip, *args)
+
+    futures = [pool.submit(one, s) for s in strips[1:]]
+    try:
+        first = one(strips[0])
+    finally:
+        for f in futures:
+            f.exception()  # waits
+    return [first] + [f.result() for f in futures]
+
+
 def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
            h: float, observer, observer_stride, sponge_strength):
     """The RK4 loop of the WKB and limit-hydro systems.
@@ -478,22 +585,30 @@ def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
     fields are the caller's RK4 fields, (alpha, beta, v) first, frozen
     state arrays that the march copies and never writes.  Only alpha,
     beta and v get stage values, as no rate reads phi, and the sponge
-    relaxes them toward fields, their start.  rates(alpha, beta, v,
-    drift_fields, out, work) writes one rate per field into out, using
-    the march's workspace; sample(k) gives the drift fields at half step
-    k: evolve_wkb samples its exact drift path there, evolve_hydro hands
-    back the fields it built once.  Stages 2 and 3 share the midpoint
-    sample.  The endpoint sample is built again as the next step's
-    start: carried across the step, it would stay alive through the
-    observer call, which sets the march's peak memory.
+    relaxes them toward fields, their start.  rates(strip, alpha, beta,
+    v, drift_fields, out) writes the strip's rows of one rate per field
+    into out, using the strip's buffers; sample(k) gives the drift
+    fields at half step k: evolve_wkb samples its exact drift path there,
+    evolve_hydro hands back the fields it built once.  Stages 2 and 3
+    share the midpoint sample.  The endpoint sample is built again as
+    the next step's start: carried across the step, it would stay alive
+    through the observer call, which sets the march's peak memory.
 
-    The march allocates its grid arrays once and steps them in place.
-    RK4 is low-storage: one stage's rates are live at a time, and acc
-    sums them as k1 + 2 k2 + 2 k3 + k4 in that order, the bits of the
-    four-rate form.  Stage 1 leaves v + w in the workspace; the march
-    raises NumericalAbort before a step whose h exceeds the advective
-    bound 0.5 dx / max|v + w| read there.  make_state(fields, step, t)
-    copies the fields into a state for the observer and for the return.
+    The grid is cut along axis 0 into strips (_strips), and the march
+    runs strip by strip, the first strip on the calling thread and the
+    others on a thread pool of this march, shut down however the march
+    ends: the rates, the stage updates, the accumulation, the sponge and
+    the finite check.  A strip's rates read its neighbours' rows of the
+    stage values as its halo, so the stage values that stages 3 and 4
+    read are written in a pass of their own, after every strip's rates.
+    The arrays are allocated once and stepped in place.  RK4 is
+    low-storage: one stage's rates are live at a time, and acc sums them
+    as k1 + 2 k2 + 2 k3 + k4 in that order, the bits of the four-rate
+    form.  Stage 1 leaves v + w in the strips' buffers; the march raises
+    NumericalAbort before a step whose h exceeds the advective bound
+    0.5 dx / max|v + w| read there.  Any strip count gives the same
+    bits.  make_state(fields, step, t) copies the fields into a state for
+    the observer and for the return.
     """
     if observer_stride < 1:
         raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
@@ -501,51 +616,71 @@ def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
     acc = [np.empty_like(u) for u in y]
     k = [np.empty_like(u) for u in y]
     stage = [np.empty_like(u) for u in y[:3]]
-    work = _Workspace(grid)
+    strips = _strips(grid)
     damp = np.exp(-_sponge_profile(grid, sponge_strength) * h)
 
-    t = 0.0
-    if observer is not None:
-        observer(t, make_state(y, 0, t))
+    # each strip's rows of the march's arrays
+    rows = {s: [s.parts(a) for a in (y, acc, k, stage, fields)] for s in strips}
+    damps = {s: s.part(damp) for s in strips}
 
-    for step in range(1, n_steps + 1):
-        k0 = 2 * (step - 1)
-        # a genuine blowup is reported via NumericalAbort, not warning spam
-        with np.errstate(over="ignore", invalid="ignore"):
-            rates(*y[:3], sample(k0), acc, work)
-            bound = _advective_bound(work.adv, grid, work.tmp, work.tmp2)
+    def first(strip, drift):
+        # k1 into acc, the stage values y + (h/2) k1; the strip's max |v + w|^2
+        ys, accs, _, stages, _ = rows[strip]
+        rates(strip, *y[:3], drift, acc)
+        _stage(stages, ys, 0.5 * h, accs)
+        return _speed2_max(strip.adv, strip.tmp, strip.tmp2)
+
+    def advance(strip, c):
+        # the stage values y + c k, once every strip has read the old ones
+        ys, accs, ks, stages, _ = rows[strip]
+        _stage(stages, ys, c, ks)
+        for a, r in zip(accs, ks):
+            r *= 2.0
+            a += r
+
+    def last(strip, drift):
+        # k4, the step, the sponge; whether the strip's fields stayed finite
+        ys, accs, ks, _, starts = rows[strip]
+        rates(strip, *stage, drift, k)
+        for u, a, r in zip(ys, accs, ks):
+            a += r
+            a *= h / 6.0
+            u += a
+        if sponge_strength > 0:
+            for u, u0 in zip(ys[:3], starts):
+                u -= u0
+                u *= damps[strip]
+                u += u0
+        return all(np.isfinite(u).all() for u in ys[:3])
+
+    t = 0.0
+    with _strip_pool(len(strips)) as pool:
+        if observer is not None:
+            observer(t, make_state(y, 0, t))
+
+        for step in range(1, n_steps + 1):
+            k0 = 2 * (step - 1)
+            speed2 = np.max(_on_strips(pool, strips, first, sample(k0)))
+            bound = _advective_bound(speed2, grid)
             if h > bound:
                 raise NumericalAbort(
                     f"dt = {h:.6g} exceeds the advective step bound {bound:.6g} "
                     f"= 0.5 dx / max|v + w| in step {step} (t = {t:.6g})", step, t)
             mid = sample(k0 + 1)
-            _stage(stage, y, 0.5 * h, acc)
             for c in (0.5 * h, h):
-                rates(*stage, mid, k, work)
-                _stage(stage, y, c, k)
-                for a, r in zip(acc, k):
-                    r *= 2.0
-                    a += r
+                _on_strips(pool, strips, rates, *stage, mid, k)
+                _on_strips(pool, strips, advance, c)
             del mid
-            rates(*stage, sample(k0 + 2), k, work)
-            for u, a, r in zip(y, acc, k):
-                a += r
-                a *= h / 6.0
-                u += a
-            if sponge_strength > 0:
-                for u, u0 in zip(y[:3], fields):
-                    u -= u0
-                    u *= damp
-                    u += u0
+            finite = all(_on_strips(pool, strips, last, sample(k0 + 2)))
 
-        t = step * h
-        if not all(np.isfinite(u).all() for u in y[:3]):
-            raise NumericalAbort(
-                f"non-finite samples after step {step} (t = {t:.6g})", step, t)
-        if observer is not None and (step % observer_stride == 0 or step == n_steps):
-            observer(t, make_state(y, step, t))
+            t = step * h
+            if not finite:
+                raise NumericalAbort(
+                    f"non-finite samples after step {step} (t = {t:.6g})", step, t)
+            if observer is not None and (step % observer_stride == 0 or step == n_steps):
+                observer(t, make_state(y, step, t))
 
-    del acc, k, stage, work
+    del acc, k, stage, strips, rows, damps
     return make_state(y, n_steps, t)
 
 
@@ -585,10 +720,10 @@ def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
         raise NumericalAbort(f"the drift phase reaches a caustic in step {step}, "
                              f"after t = {path.blowup_time:.6g}", step, path.blowup_time)
 
-    def rates(al, be, vv, fields, out, work):
+    def rates(strip, al, be, vv, fields, out):
         w, coupling = fields
-        f_rho = _fields_rhs(al, be, vv, w, coupling, grid, params, eps, out, work)
-        _phase_rate(vv, w, f_rho, out=out[3], work=work)
+        f_rho = _fields_rhs(al, be, vv, w, coupling, grid, params, eps, out, strip)
+        _phase_rate(vv, w, f_rho, out=out[3], strip=strip)
 
     def make_state(fields, step, t):
         return WKBState(*fields, path.at_index(2 * step), eps, state0.t + t, grid,
@@ -626,9 +761,10 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     dt = _resolve_dt(shadow, dt, "evolve_hydro")
     fixed = drift_fields(shadow.drift, grid, params)
 
-    def rates(al, be, vv, fields, out, work):
-        _fields_rhs(al, be, vv, *fields, grid, params, 0.0, out, work)
-        out[2] -= force
+    def rates(strip, al, be, vv, fields, out):
+        _fields_rhs(al, be, vv, *fields, grid, params, 0.0, out, strip)
+        dv = strip.part(out[2])
+        dv -= strip.part(force)
 
     def make_state(fields, step, t):
         al, be, vv = fields

@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, serialize
-from .core import (WaveField, boundary_max, gauge_distance, integrate, make_gaussian,
-                   make_vortex_init, sobolev_norm, spectral_gradient, turn_field,
-                   wkb_assemble)
+from .core import (WaveField, boundary_max, cpu_budget, gauge_distance, integrate,
+                   make_gaussian, make_vortex_init, sobolev_norm, spectral_gradient,
+                   turn_field, wkb_assemble)
 from .hydro import HydroState, StepBoundError, WKBState, evolve_hydro, evolve_wkb
 from .nls import evolve_nls
 from .observables import (ObservableRecord, probability_current,
@@ -273,22 +273,32 @@ class SweepError(RuntimeError):
     """A member run failed; completed metrics were preserved on disk."""
 
 
-def _worker_count(n_jobs: int) -> int:
-    """Worker processes for n_jobs tasks: ROTORWKB_THREADS when set, else
-    the CPUs this process may run on (processes beyond them only queue)."""
-    raw = os.environ.get("ROTORWKB_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(f"ROTORWKB_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ConfigError(f"ROTORWKB_THREADS must be >= 1, got {cap}")
-    elif hasattr(os, "sched_getaffinity"):
-        cap = len(os.sched_getaffinity(0))
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
+def _one_strip_per_worker():
+    """Sweep worker initializer: the workers share the caller's CPUs, so
+    each one's budget is 1 and its marches run in one strip."""
+    os.environ["ROTORWKB_THREADS"] = "1"
+
+
+def _sweep_pool(n_jobs: int):
+    """The sweep's pool of worker processes for n_jobs tasks, capped by
+    the CPU budget.  A caller that runs one Python thread on Linux forks
+    them, any other caller spawns them."""
+    try:
+        workers = min(cpu_budget(), n_jobs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    # imported here, not at module level: multiprocessing adds over 10 ms
+    # to every import of the package, and only sweeps use it
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork only where no other thread of the caller can hold a lock
+    method = ("fork" if sys.platform == "linux" and threading.active_count() == 1
+              else "spawn")
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context(method),
+                               initializer=_one_strip_per_worker)
 
 
 def _reference_task(cfg: RunConfig) -> tuple[WKBState, float]:
@@ -312,7 +322,8 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     limit (rho, rho v) turned into the members' frame; a WKB run scores
     the complex amplitude (L2) against the limit amplitude.  The reference
     and every (eps, route) run are separate tasks on a pool of worker
-    processes, capped by ROTORWKB_THREADS; metrics are reduced in the
+    processes, capped by the CPU budget (ROTORWKB_THREADS, else the
+    usable CPUs), each with a budget of 1; metrics are reduced in the
     given (strictly decreasing) eps order.  A failed member drops its eps
     and raises SweepError after sweep.json is written; a failed reference
     raises its own exception and writes nothing.
@@ -342,23 +353,12 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     base_out = Path(cfg.outdir)
     base_out.mkdir(parents=True, exist_ok=True)
 
-    # imported here, not at module level: multiprocessing adds over 10 ms
-    # to every import of the package, and only sweeps use it
-    import multiprocessing
-    import threading
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork only where no other thread of the caller can hold a lock
-    method = ("fork" if sys.platform == "linux" and threading.active_count() == 1
-              else "spawn")
-
     routes = [r for r in ("wkb", "nls") if mode in (r, "both")]
     grid = cfg.grid
     cell = grid.cell
     results: dict[float, tuple[dict[str, float], float]] = {}
     failure: tuple[float, Exception] | None = None
-    with ProcessPoolExecutor(max_workers=_worker_count(1 + len(routes) * len(eps_list)),
-                             mp_context=multiprocessing.get_context(method)) as pool:
+    with _sweep_pool(1 + len(routes) * len(eps_list)) as pool:
         # longest first: the reference and the WKB members, then the NLS ones
         ref_future = pool.submit(_reference_task, cfg)
         futures = {}

@@ -8,7 +8,7 @@ import os
 import pickle
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +18,10 @@ import rotorwkb
 from rotorwkb import cli, hydro, nls
 from rotorwkb.config import ConfigError, RunConfig, serialize
 from rotorwkb.core import (GridSpec, Nonlinearity, NumericalAbort, SimParams, WaveField,
-                           boundary_max, turn_field)
+                           boundary_max, cpu_budget, make_gaussian, turn_field)
+from rotorwkb.hydro import HydroState, WKBState, evolve_hydro, evolve_wkb
 from rotorwkb.observables import record_from_wavefield
-from rotorwkb.runner import (SweepError, _worker_count, amplitude_field, build_ray_bundle,
+from rotorwkb.runner import (SweepError, _sweep_pool, amplitude_field, build_ray_bundle,
                              build_wavefield, build_wkb_state, compare_fields,
                              epsilon_sweep, run)
 from rotorwkb.snapshots import MAGIC, load_field, save_field
@@ -367,19 +368,27 @@ def test_sweep_output_does_not_depend_on_the_start_method(tmp_path):
     assert len(forked[1]) == 6
 
 
-def test_sweep_forks_only_from_a_single_threaded_linux_caller(tmp_path, monkeypatch):
-    import multiprocessing
+class Started(Exception):
+    pass
 
-    class Started(Exception):
-        pass
+
+def record_start_methods(monkeypatch):
+    """The start methods that sweeps ask multiprocessing.get_context for
+    from now on; each request raises Started, so no pool starts."""
+    import multiprocessing
 
     methods = []
 
     def get_context(method):
         methods.append(method)
-        raise Started  # the rule is all this test looks at: start no pool
+        raise Started  # the rule is all these tests look at: start no pool
 
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    return methods
+
+
+def test_sweep_forks_only_from_a_single_threaded_linux_caller(tmp_path, monkeypatch):
+    methods = record_start_methods(monkeypatch)
     cfg = small_cfg(tmp_path / "s", T=0.02)
     eps = (0.5, 0.25, 0.125)
     with pytest.raises(Started):
@@ -394,17 +403,75 @@ def test_sweep_forks_only_from_a_single_threaded_linux_caller(tmp_path, monkeypa
     assert methods == [expected, "spawn", "spawn"]
 
 
+def test_march_threads_end_with_the_march(tmp_path, monkeypatch):
+    # a budget of 2 cuts 256^2 into 2 strips, the second on a thread of
+    # the march; however the march ends, that thread is gone after it,
+    # so a sweep started next still forks its workers
+    monkeypatch.setenv("ROTORWKB_THREADS", "2")
+    grid = GridSpec.square(256, 8.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
+    a0 = make_gaussian(grid)
+    entry = threading.active_count()
+    during = []
+
+    def count(t, state):
+        during.append(threading.active_count())
+
+    def stop(t, state):
+        if t > 0:
+            raise Started
+
+    evolve_wkb(WKBState.from_amplitude(a0, grid, params), T=0.004, dt=0.002,
+               observer=count)
+    assert during[-1] == entry + 1
+    assert threading.active_count() == entry
+    # no drift and no sponge: the trap drives v at the box corners past
+    # the bound in the first step
+    still = replace(params, Omega=0.0)
+    with pytest.raises(NumericalAbort, match=r"advective step bound .* in step 2 "):
+        evolve_hydro(HydroState(a0 ** 2, np.zeros((2,) + grid.shape), 0.0, grid,
+                                still), T=0.5, dt=0.06, sponge_strength=0.0)
+    assert threading.active_count() == entry
+    with pytest.raises(NumericalAbort, match="non-finite samples"):
+        evolve_wkb(WKBState.from_amplitude(1e160 * a0, grid, params), T=0.004,
+                   dt=0.002)
+    assert threading.active_count() == entry
+    with pytest.raises(Started):
+        evolve_wkb(WKBState.from_amplitude(a0, grid, params), T=0.004, dt=0.002,
+                   observer=stop)
+    assert threading.active_count() == entry
+    assert not [t for t in threading.enumerate() if t.name.startswith("rotorwkb")]
+
+    methods = record_start_methods(monkeypatch)
+    with pytest.raises(Started):
+        epsilon_sweep(small_cfg(tmp_path / "s", T=0.02), (0.5, 0.25, 0.125))
+    assert methods == ["fork" if sys.platform == "linux" else "spawn"]
+
+
+def test_sweep_workers_have_a_budget_of_one(monkeypatch):
+    # forked or spawned, every worker marches in one strip: the workers
+    # already share the caller's CPUs
+    monkeypatch.setenv("ROTORWKB_THREADS", "2")
+    for caller in (nullcontext(), other_thread()):
+        with caller, _sweep_pool(2) as pool:
+            assert pool.submit(cpu_budget).result(timeout=60) == 1
+    assert cpu_budget() == 2
+
+
 def test_worker_count_is_capped_by_the_usable_cpus(monkeypatch):
     monkeypatch.delenv("ROTORWKB_THREADS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert _worker_count(7) == 3
-    assert _worker_count(2) == 2
+    assert cpu_budget() == 3
     monkeypatch.setenv("ROTORWKB_THREADS", "5")
-    assert _worker_count(7) == 5
+    assert cpu_budget() == 5
+    for raw, message in (("abc", "must be an integer"), ("0", ">= 1")):
+        monkeypatch.setenv("ROTORWKB_THREADS", raw)
+        with pytest.raises(ValueError, match=message):
+            cpu_budget()
     monkeypatch.delenv("ROTORWKB_THREADS")
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _worker_count(7) == 7
+    assert cpu_budget() == 16
 
 
 # ---------- command line ----------

@@ -9,6 +9,7 @@ system is the free Schroedinger equation for the stencil Laplacian,
 solvable exactly in Fourier space.
 """
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -34,8 +35,10 @@ from rotorwkb import (
     make_vortex_init,
     rhs_wkb,
 )
+from rotorwkb import hydro
 from rotorwkb.core import potential_gradient
 from rotorwkb.hydro import d1, d2, drift_fields, gradient, laplacian
+from rotorwkb.observables import record_from_hydro, record_from_wkb
 
 
 def reference_rates(alpha, beta, v, drift, grid, params, eps):
@@ -376,6 +379,58 @@ def test_march_buffers_leak_into_no_state_and_no_rerun(route):
             np.testing.assert_array_equal(getattr(state, n), a)
     for n in names:
         np.testing.assert_array_equal(getattr(first, n), getattr(second, n))
+
+
+@pytest.mark.parametrize("grid", [GridSpec.square(256, 8.0),
+                                  GridSpec((6.0, 6.0, 6.0), (64, 64, 32))],
+                         ids=["256x256", "64x64x32"])
+@pytest.mark.parametrize("route", ["wkb", "wkb-limit", "hydro"])
+def test_strips_give_the_bits_of_one_strip(route, grid, monkeypatch):
+    # a budget of 2 cuts these grids into 2 strips, so each strip's halo
+    # holds rows of the other strip and rows across the periodic seam; a
+    # wrong halo row moves the bits of the first step
+    dim = grid.dim
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.4, 1.2)[:dim])
+    a0 = make_gaussian(grid, center=(0.5, -0.25, 0.1)[:dim])
+    Sigma = np.diag([0.1, -0.05, 0.02][:dim])
+    Sigma[0, 1] = Sigma[1, 0] = 0.03
+    drift = QuadraticPhase(Sigma, np.array([0.2, -0.1, 0.05][:dim]))
+    if route == "hydro":
+        v0 = np.stack([c * a0 for c in (0.3, -0.2, 0.1)[:dim]])
+        start = HydroState(a0 ** 2, v0, 0.0, grid, params)
+        march, names, record = evolve_hydro, ("rho", "v"), record_from_hydro
+    else:
+        start = WKBState.from_amplitude(a0, grid, params, drift=drift,
+                                        eps=0.0 if route == "wkb-limit" else None)
+        march, names, record = evolve_wkb, ("alpha", "beta", "v", "phi"), record_from_wkb
+
+    def bits(state):
+        return state.t, [getattr(state, n).tobytes() for n in names], record(state)
+
+    def run(budget):
+        monkeypatch.setenv("ROTORWKB_THREADS", str(budget))
+        assert len(hydro._strips(grid)) == budget
+        seen = []
+        final = march(start, T=0.006, dt=0.002, observer_stride=2,
+                      observer=lambda t, s: seen.append(bits(s)))
+        return seen + [bits(final)]
+
+    one, two = run(1), run(2)
+    assert len(one) == 4
+    assert one == two
+
+
+def test_a_blowup_in_the_strips_is_an_abort_not_a_warning(monkeypatch):
+    # numpy's error state is per thread: every strip runs under the
+    # march's, so an overflow in any strip ends in NumericalAbort
+    monkeypatch.setenv("ROTORWKB_THREADS", "2")
+    grid = GridSpec.square(256, 8.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0))
+    state = WKBState.from_amplitude(1e160 * make_gaussian(grid), grid, params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalAbort, match="non-finite samples after step 1"):
+            evolve_wkb(state, T=0.004, dt=0.002)
 
 
 def test_uniform_state_is_a_fixed_point_with_linear_phase_drop():
