@@ -680,7 +680,7 @@ def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
             if observer is not None and (step % observer_stride == 0 or step == n_steps):
                 observer(t, make_state(y, step, t))
 
-    del acc, k, stage, strips, rows, damps
+    del acc, k, stage, strips, rows
     return make_state(y, n_steps, t)
 
 

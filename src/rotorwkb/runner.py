@@ -180,6 +180,8 @@ def _saved_field(state) -> tuple[np.ndarray, float, float, np.ndarray]:
 
 def run(cfg: RunConfig) -> RunResult:
     """Execute one configured run and write its artifact directory."""
+    if cfg.solver in ("wkb", "hydro"):
+        _checked_budget()  # the march's strips read it; refuse before any file
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     t_wall = time.perf_counter()
@@ -273,6 +275,14 @@ class SweepError(RuntimeError):
     """A member run failed; completed metrics were preserved on disk."""
 
 
+def _checked_budget() -> int:
+    """core.cpu_budget, with a bad ROTORWKB_THREADS as a ConfigError."""
+    try:
+        return cpu_budget()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _one_strip_per_worker():
     """Sweep worker initializer: the workers share the caller's CPUs, so
     each one's budget is 1 and its marches run in one strip."""
@@ -283,10 +293,7 @@ def _sweep_pool(n_jobs: int):
     """The sweep's pool of worker processes for n_jobs tasks, capped by
     the CPU budget.  A caller that runs one Python thread on Linux forks
     them, any other caller spawns them."""
-    try:
-        workers = min(cpu_budget(), n_jobs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    workers = min(_checked_budget(), n_jobs)
     # imported here, not at module level: multiprocessing adds over 10 ms
     # to every import of the package, and only sweeps use it
     import multiprocessing

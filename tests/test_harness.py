@@ -465,6 +465,11 @@ def test_worker_count_is_capped_by_the_usable_cpus(monkeypatch):
     assert cpu_budget() == 3
     monkeypatch.setenv("ROTORWKB_THREADS", "5")
     assert cpu_budget() == 5
+    # a sweep starts no more workers than it has tasks; building the pool
+    # without a task starts no process
+    for n_jobs, workers in ((2, 2), (7, 5)):
+        with _sweep_pool(n_jobs) as pool:
+            assert pool._max_workers == workers
     for raw, message in (("abc", "must be an integer"), ("0", ">= 1")):
         monkeypatch.setenv("ROTORWKB_THREADS", raw)
         with pytest.raises(ValueError, match=message):
@@ -501,6 +506,19 @@ def test_cli_overrides_reach_the_run(tmp_path):
                      f"--run.outdir={out}"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "T = 0.0" in manifest["config"]
+
+
+def test_cli_march_refuses_a_bad_thread_cap_before_writing(tmp_path, monkeypatch, capsys):
+    # the budget sets the WKB and hydro strips: a bad value is exit 2
+    # before the run's directory or any artifact exists
+    monkeypatch.setenv("ROTORWKB_THREADS", "abc")
+    for command in ("run-wkb", "run-hydro"):
+        out = tmp_path / command
+        path = write_cfg(tmp_path / "run.cfg", out, "T = 0.01\n")
+        assert cli.main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: ROTORWKB_THREADS must be an integer")
+        assert not out.exists()
 
 
 def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
