@@ -46,8 +46,10 @@ the budget (core.cpu_budget: ROTORWKB_THREADS, else the usable CPUs) as
 long as each strip keeps MIN_STRIP_POINTS grid points, so small grids
 stay in one strip.  The strips run on threads, since numpy releases the
 interpreter lock inside each pass.  Every term is pointwise or a
-+-2-row stencil, so a strip reads 2 halo rows on either side and gives
-the bits of the whole-grid pass; the NLS march stays serial.
++-2-row stencil, so a strip forms adv = v + w and rho on its rows and
+its halo, the 2 grid rows on either side, in one pass, and loads each
+differentiated field over the same rows; it gives the bits of the
+whole-grid pass.  The NLS march stays serial.
 """
 
 from __future__ import annotations
@@ -229,22 +231,22 @@ class _Wrapped:
 
     shifts[axis] are the views u(+1), u(-1), u(+2), u(-2) along one axis,
     the operands of the stencils; the corners are never read, so they
-    are never filled.  Along axis 0 the ghosts are the halo, the 2 grid
-    rows before the strip and the 2 after it; along the other axes they
-    wrap the strip periodically.
+    are never filled.  haloed is the strip's rows with the axis-0 ghosts,
+    its halo: the 2 grid rows before the strip and the 2 after it.  Along
+    the other axes the ghosts wrap the strip periodically.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         buf = np.empty(tuple(n + 4 for n in shape))
         core = tuple(slice(2, n + 2) for n in shape)
         self.inner = buf[core]
+        self.haloed = buf[(slice(None),) + core[1:]]
 
         def along(axis, lo, hi):
             return buf[core[:axis] + (slice(lo, hi),) + core[axis + 1:]]
 
         self.shifts = [tuple(along(a, 2 + s, n + 2 + s) for s in (1, -1, 2, -2))
                        for a, n in enumerate(shape)]
-        self.halo = (along(0, 0, 2), along(0, shape[0] + 2, shape[0] + 4))
         self.ghosts = {a: ((along(a, 0, 2), along(a, n, n + 2)),
                            (along(a, n + 2, n + 4), along(a, 2, 4)))
                        for a, n in enumerate(shape) if a > 0}
@@ -254,42 +256,44 @@ class _Wrapped:
             for ghost, source in self.ghosts[a]:
                 ghost[...] = source
 
-    def load(self, u: np.ndarray, halo):
-        """u into the core, and its halo, the 2 rows before the strip and
-        the 2 after it, into the axis-0 ghosts."""
-        self.inner[...] = u
-        for ghost, rows in zip(self.halo, halo):
-            ghost[...] = rows
+    def load(self, u, bands=((slice(None), slice(None)),)):
+        """Each band (rows of u, rows of haloed) into haloed, then the
+        periodic wrap along the other axes; with no bands u is haloed rows."""
+        for source, rows in bands:
+            self.haloed[rows] = u[source]
         self.fill(range(1, u.ndim))
 
 
 class _Strip:
     """Rows lo:hi of the grid and the buffers of their right-hand side.
 
-    A strip reads its rows and its halo, rows lo - 2, lo - 1 and hi,
-    hi + 1 taken around the grid, of the march's arrays and writes only
-    its rows; one strip over the whole grid reads the periodic wrap.
-    Strips of at least 2 rows keep each pair of halo rows contiguous.
-    field holds the wrapped copy of the field being differentiated,
-    product that of one advective product adv_j u, and edge 3 halos
-    formed from the inputs.  adv = v + w on the strip's rows is left in
-    place after each call, so the march reads its speed from it.
+    A strip reads its haloed rows, lo - 2 to hi + 1 taken around the grid,
+    of the march's arrays and writes only its rows; one strip over the
+    whole grid reads the periodic wrap.  bands pairs the grid rows of the
+    halo before, the strip and the halo after with the haloed rows they
+    fill; strips of at least 2 rows keep each band contiguous.
+    haloed_adv (v + w) and haloed_rho are formed over the bands, and adv,
+    the strip's rows of haloed_adv, stays after each call for the march's
+    speed read.  field and product hold the wrapped copies of the field
+    being differentiated and of one product adv_j u.
     """
 
     def __init__(self, grid: GridSpec, lo: int, hi: int):
-        n0 = grid.shape[0]
-        shape = (hi - lo,) + grid.shape[1:]
+        n0, n = grid.shape[0], hi - lo
+        shape = (n,) + grid.shape[1:]
         self.dim = grid.dim
         self.rows = slice(lo, hi)
-        self.halo_rows = (slice((lo - 2) % n0, (lo - 2) % n0 + 2),
-                          slice(hi % n0, hi % n0 + 2))
+        self.core = slice(2, n + 2)
+        self.bands = ((slice((lo - 2) % n0, (lo - 2) % n0 + 2), slice(0, 2)),
+                      (self.rows, self.core),
+                      (slice(hi % n0, hi % n0 + 2), slice(n + 2, n + 4)))
         self.field = _Wrapped(shape)
         self.product = _Wrapped(shape)
-        self.adv = np.empty((grid.dim,) + shape)
-        self.rho = np.empty(shape)
+        self.haloed_adv = np.empty((grid.dim, n + 4) + grid.shape[1:])
+        self.adv = self.haloed_adv[:, self.core]
+        self.haloed_rho = np.empty((n + 4,) + grid.shape[1:])
         self.tmp = np.empty(shape)
         self.tmp2 = np.empty(shape)
-        self.edge = np.empty((3, 2, 2) + grid.shape[1:])
         # the stencils' 1/(12 h) and 1/(12 h^2), folded into their weights
         self.c1 = [1.0 / (12.0 * h) for h in grid.spacing]
         self.c2 = [1.0 / (12.0 * h * h) for h in grid.spacing]
@@ -300,10 +304,6 @@ class _Strip:
 
     def parts(self, arrays) -> list[np.ndarray]:
         return [self.part(u) for u in arrays]
-
-    def halo_of(self, u: np.ndarray) -> list[np.ndarray]:
-        """The halo of a grid array: its 2 rows before and 2 after the strip."""
-        return [u[rows] for rows in self.halo_rows]
 
 
 def _d1(out, shifts, c, tmp):
@@ -345,23 +345,24 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
     """Write the rates of (alpha, beta, v) on the strip's rows into out[:3];
     return f(rho) on those rows.
 
-    The amplitude advection is in split (skew-symmetric) form.  Each
-    differentiated field is wrapped once, and D1 and D2 along every axis
-    read shifts of that one copy.  The halo rows of the products adv_0 u
-    and of f(rho) are formed again from the inputs' halo rows, so every
-    strip gets the bits of the whole-grid pass.  f(rho) is handed out for
-    _phase_rate, so the WKB route reads it without a second pass and the
-    limit route never forms the phase rate.
+    The amplitude advection is in split (skew-symmetric) form.  adv, rho
+    and each differentiated field's one wrapped copy are formed on the
+    strip's haloed rows, so the halo of adv_0 u and of f(rho) comes out
+    of the same pass, and every strip gets the bits of the whole-grid
+    pass.  f(rho) is handed out for _phase_rate, so the WKB route reads
+    it without a second pass and the limit route never forms the phase
+    rate.
     """
     dalpha, dbeta, dv = strip.parts(out[:3])
-    adv, tmp, tmp2, c1 = strip.adv, strip.tmp, strip.tmp2, strip.c1
-    field, product = strip.field, strip.product
-    adv_halo, rho_halo, square = strip.edge
-    vs = strip.part(v)
-    for j in range(grid.dim):
-        np.add(vs[j], strip.part(w[j]), out=adv[j])
-    for a, v0, w0 in zip(adv_halo, strip.halo_of(v[0]), strip.halo_of(w[0])):
-        np.add(v0, w0, out=a)
+    hadv, adv, rho = strip.haloed_adv, strip.adv, strip.haloed_rho
+    tmp, tmp2, c1 = strip.tmp, strip.tmp2, strip.c1
+    field, product, bands = strip.field, strip.product, strip.bands
+    for source, rows in bands:
+        for j in range(grid.dim):
+            np.add(v[j][source], w[j][source], out=hadv[j][rows])
+        a, b, r = alpha[source], beta[source], rho[rows]
+        np.multiply(a, a, out=r)
+        r += np.multiply(b, b, out=tmp[:len(r)])
 
     # d_t a = -(1/2)[adv . D1 a + D1 . (a adv)] + (i eps / 2) Lap a
     dalpha.fill(0.0)
@@ -369,16 +370,15 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
     for whole, rate, other, half_eps in ((alpha, dalpha, dbeta, 0.5 * eps),
                                          (beta, dbeta, dalpha, -0.5 * eps)):
         u = strip.part(whole)
-        field.load(u, strip.halo_of(whole))
+        field.load(whole, bands)
         for j in range(grid.dim):
             _d1(tmp, field.shifts[j], -0.5 * c1[j], tmp2)
             tmp *= adv[j]
             rate += tmp
-            np.multiply(adv[j], u, out=product.inner)
-            if j == 0:
-                for ghost, a, u_halo in zip(product.halo, adv_halo, field.halo):
-                    np.multiply(a, u_halo, out=ghost)
+            if j == 0:  # D1 along axis 0 reads the product's halo
+                np.multiply(hadv[0], field.haloed, out=product.haloed)
             else:
+                np.multiply(adv[j], u, out=product.inner)
                 product.fill((j,))
             _add_d1(rate, product.shifts[j], -0.5 * c1[j], tmp)
         if eps > 0:
@@ -388,26 +388,20 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
             other -= tmp
 
     # d_t v = -(adv . D1 v + coupling v + D1 f(rho))
-    a, b = strip.parts((alpha, beta))
-    rho = np.multiply(a, a, out=strip.rho)
-    rho += np.multiply(b, b, out=tmp)
-    for r, sq, a_h, b_h in zip(rho_halo, square, strip.halo_of(alpha),
-                               strip.halo_of(beta)):
-        np.multiply(a_h, a_h, out=r)
-        r += np.multiply(b_h, b_h, out=sq)
     f_rho = params.nonlinearity.f(rho)
-    field.load(f_rho, [params.nonlinearity.f(r) for r in rho_halo])
+    field.load(f_rho)
     for i in range(grid.dim):
         _d1(dv[i], field.shifts[i], -c1[i], tmp)
+    vs = strip.part(v)
     for i in range(grid.dim):
-        field.load(vs[i], strip.halo_of(v[i]))
+        field.load(v[i], bands)
         for j in range(grid.dim):
             _d1(tmp, field.shifts[j], -c1[j], tmp2)
             tmp *= adv[j]
             dv[i] += tmp
             if coupling[i, j] != 0.0:
                 dv[i] -= np.multiply(vs[j], coupling[i, j], out=tmp)
-    return f_rho
+    return f_rho[strip.core]
 
 
 def _phase_rate(v, w, f_rho, *, out, strip: _Strip):

@@ -278,7 +278,7 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
     tr = np.trace(S)
     t0 = rays[0].t
 
-    steps_arr = np.array(sorted(set(range(0, n_steps, store_stride)) | {n_steps}))
+    steps_arr = np.append(np.arange(0, n_steps, store_stride), n_steps)
     X_at = np.empty((len(steps_arr),) + X.shape)
     S_at = np.empty((len(steps_arr),) + S.shape)
     A_at = np.empty((len(steps_arr), B))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, serialize
+from .config import ConfigError, RunConfig, _check_solver_constraints, serialize
 from .core import (WaveField, boundary_max, cpu_budget, gauge_distance, integrate,
                    make_gaussian, make_vortex_init, sobolev_norm, spectral_gradient,
                    turn_field, wkb_assemble)
@@ -331,9 +331,12 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
     and every (eps, route) run are separate tasks on a pool of worker
     processes, capped by the CPU budget (ROTORWKB_THREADS, else the
     usable CPUs), each with a budget of 1; metrics are reduced in the
-    given (strictly decreasing) eps order.  A failed member drops its eps
-    and raises SweepError after sweep.json is written; a failed reference
-    raises its own exception and writes nothing.
+    given (strictly decreasing) eps order.  Before anything is written,
+    the config passes a run's solver check for every route the sweep
+    runs, the eps = 0 WKB reference's in every mode among them.  A failed
+    member drops its eps and raises SweepError after sweep.json is
+    written; a failed reference raises its own exception and writes
+    nothing.
 
     A caller that runs one Python thread on Linux forks its workers, so
     they start with numpy and the package loaded; the pool launches them
@@ -357,10 +360,12 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
         raise ConfigError(f"[run].T: a sweep needs T > 0 (at T = 0 every member "
                           f"equals the reference), got {cfg.T!r}")
 
+    routes = [r for r in ("wkb", "nls") if mode in (r, "both")]
+    for route in dict.fromkeys(["wkb"] + routes):
+        _check_solver_constraints(replace(cfg, solver=route))
+
     base_out = Path(cfg.outdir)
     base_out.mkdir(parents=True, exist_ok=True)
-
-    routes = [r for r in ("wkb", "nls") if mode in (r, "both")]
     grid = cfg.grid
     cell = grid.cell
     results: dict[float, tuple[dict[str, float], float]] = {}

@@ -16,7 +16,7 @@ import pytest
 
 import rotorwkb
 from rotorwkb import cli, hydro, nls
-from rotorwkb.config import ConfigError, RunConfig, serialize
+from rotorwkb.config import ConfigError, RunConfig, parse_config, serialize
 from rotorwkb.core import (GridSpec, Nonlinearity, NumericalAbort, SimParams, WaveField,
                            boundary_max, cpu_budget, make_gaussian, turn_field)
 from rotorwkb.hydro import HydroState, WKBState, evolve_hydro, evolve_wkb
@@ -249,6 +249,40 @@ def test_sweep_refuses_a_horizon_that_is_not_positive(tmp_path, capsys):
                          "--mode", mode]) == 2
         assert capsys.readouterr().err.startswith("config error: [run].T: ")
         assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_takes_a_config_only_where_its_runs_would(tmp_path, capsys):
+    # vortex data is refused by run-wkb, so by the sweep in every mode:
+    # the eps = 0 reference is a WKB run in nls mode too
+    path = tmp_path / "v.cfg"
+    path.write_text("[grid]\npoints = 32 32\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\noutdir = {tmp_path / 'sweep'}\nT = 0.01\n"
+                    "initial = vortex\n", encoding="utf-8")
+    assert cli.main(["run-wkb", str(path)]) == 2
+    for mode in ("both", "wkb", "nls"):
+        assert cli.main(["sweep", str(path), "--eps", "0.5,0.25,0.125",
+                         "--mode", mode]) == 2
+        assert "[run].initial: vortex data" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+    # a phase file is the nls route's alone, and the reference refuses it
+    grid = GridSpec.square(32, 4.0)
+    save_field(tmp_path / "phase.rsfw", np.zeros(grid.shape), grid, 0.0, 0.0, "phase")
+    cfg = small_cfg(tmp_path / "sweep", grid=grid, T=0.01, solver="nls",
+                    phase=replace(RunConfig().phase, kind="file",
+                                  path=str(tmp_path / "phase.rsfw")))
+    with pytest.raises(ConfigError, match=r"^\[run\]\.phase: solver 'wkb'"):
+        epsilon_sweep(cfg, (0.5, 0.25, 0.125), mode="nls")
+    assert not (tmp_path / "sweep").exists()
+
+    # what a sweep does run, a run takes: every member's config parses
+    path.write_text(path.read_text().replace("initial = vortex", "initial = gaussian"),
+                    encoding="utf-8")
+    assert cli.main(["sweep", str(path), "--eps", "0.5,0.25,0.125"]) == 0
+    members = sorted((tmp_path / "sweep").glob("*_eps_*/manifest.json"))
+    assert len(members) == 6
+    for manifest in members:
+        cfg = parse_config(json.loads(manifest.read_text())["config"])
+        assert manifest.parent.name == f"{cfg.solver}_eps_{cfg.sim.eps:g}"
 
 
 def test_failed_member_aborts_the_sweep_but_keeps_survivors(tmp_path):

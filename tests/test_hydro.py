@@ -388,7 +388,9 @@ def test_march_buffers_leak_into_no_state_and_no_rerun(route):
 def test_strips_give_the_bits_of_one_strip(route, grid, monkeypatch):
     # a budget of 2 cuts these grids into 2 strips, so each strip's halo
     # holds rows of the other strip and rows across the periodic seam; a
-    # wrong halo row moves the bits of the first step
+    # budget of 3 cuts the 3d grid unevenly, into 21, 21 and 22 rows, and
+    # the middle strip takes both halos from neighbours (the 2d grid is
+    # capped at 2 strips); a wrong halo row moves the bits of the first step
     dim = grid.dim
     params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.4, 1.2)[:dim])
     a0 = make_gaussian(grid, center=(0.5, -0.25, 0.1)[:dim])
@@ -415,9 +417,10 @@ def test_strips_give_the_bits_of_one_strip(route, grid, monkeypatch):
                       observer=lambda t, s: seen.append(bits(s)))
         return seen + [bits(final)]
 
-    one, two = run(1), run(2)
+    one = run(1)
     assert len(one) == 4
-    assert one == two
+    for budget in (2, 3) if dim == 3 else (2,):
+        assert run(budget) == one
 
 
 def test_a_blowup_in_the_strips_is_an_abort_not_a_warning(monkeypatch):
