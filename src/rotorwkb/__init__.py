@@ -14,8 +14,8 @@ from .config import (ConfigError, InitialData, PhaseSpec, RunConfig,
 from .core import (GridSpec, Nonlinearity, NumericalAbort, SimParams,
                    WaveField, boundary_max, eval_potential, integrate,
                    make_gaussian, make_vortex_init, potential_grid,
-                   potential_gradient, rotation_generator, sobolev_norm,
-                   spectral_gradient, wkb_assemble)
+                   rotation_generator, sobolev_norm, spectral_gradient,
+                   wkb_assemble)
 from .hydro import (HydroState, WKBState, assemble_matrices, cfl_limits,
                     evolve_hydro, evolve_wkb, gradient_consistency, rhs_wkb)
 from .nls import evolve_nls

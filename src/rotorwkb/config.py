@@ -24,8 +24,8 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class InitialData:
-    """Amplitude descriptor: a Gaussian bump, a central vortex, or a
-    saved complex field (file:PATH)."""
+    """Amplitude descriptor: a Gaussian bump or a vortex, both about
+    center, or a saved complex field (file:PATH)."""
 
     kind: str = "gaussian"
     center: tuple[float, ...] = (0.0, 0.0)

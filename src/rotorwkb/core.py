@@ -9,11 +9,12 @@ rotating frame,
 with a harmonic trap V(x) = (1/2) sum_j omega_j^2 x_j^2 and, in 2d,
 x_perp = (x2, -x1).  In 3d the rotation acts in the (x1, x2) plane only.
 
-This module owns the parameter and field containers, the periodic grid,
-WKB assembly psi = a exp(i Phi / eps), reference initial data, spectral
-derivatives, Sobolev-type and gauge norms, the time grid every marcher
-shares, the turn of a field from one rotating-frame angle to another,
-and the CPU budget that sizes the sweep's workers and the march's strips.
+This module owns the parameter and field containers, the periodic grid
+and its quadratic and affine fields, WKB assembly psi = a exp(i Phi / eps),
+reference initial data, spectral derivatives, Sobolev-type and gauge norms,
+the time grid every marcher shares, the turn of a field from one
+rotating-frame angle to another, and the CPU budget that sizes the sweep's
+workers and the march's strips.
 Field containers are immutable after construction, and they and the
 parameters pickle, so they cross into worker processes.
 """
@@ -141,13 +142,6 @@ def eval_potential(x: np.ndarray, omega: Sequence[float]) -> np.ndarray:
     if x.shape[-1] != w2.shape[0]:
         raise ValueError(f"point dim {x.shape[-1]} does not match omega dim {w2.shape[0]}")
     return 0.5 * np.sum(w2 * x * x, axis=-1)
-
-
-def potential_gradient(x: np.ndarray, omega: Sequence[float]) -> np.ndarray:
-    """grad V = diag(omega^2) x, component axis last."""
-    x = np.asarray(x, dtype=float)
-    w2 = np.asarray(omega, dtype=float) ** 2
-    return w2 * x
 
 
 # ---------- time grid ----------
@@ -298,14 +292,51 @@ def lab_points(grid: GridSpec, angle: float = 0.0):
     return (c * x[0] - s * x[1], s * x[0] + c * x[1]) + tuple(x[2:])
 
 
+def quadratic_grid(grid: GridSpec, A, b=None, c: float = 0.0,
+                   angle: float = 0.0) -> np.ndarray:
+    """x . A x / 2 + b . x + c at the lab points x = R(angle) y of the nodes
+    y, A symmetric: the one formula of a quadratic field on the grid.  The
+    turn goes into the coefficients (R^T A R, R^T b), and the field grows one
+    node axis at a time: the field F over the axes before j gains
+    (b_j + sum_{i<j} A_ji y_i) y_j + A_jj y_j^2 / 2 in one pass over the grid,
+    the matrix product of the rows (F, b_j + sum_{i<j} A_ji y_i, 1) by the
+    columns (1, y_j, A_jj y_j^2 / 2)."""
+    A = np.asarray(A, dtype=float)
+    b = np.zeros(grid.dim) if b is None else b
+    if angle:
+        R, co, si = np.eye(grid.dim), math.cos(angle), math.sin(angle)
+        R[:2, :2] = ((co, -si), (si, co))
+        A, b = R.T @ A @ R, R.T @ b
+    y = grid.axes
+    out = (0.5 * A[0, 0] * y[0] + b[0]) * y[0] + c
+    for j in range(1, grid.dim):
+        rows = np.ones(out.shape + (3,))
+        rows[..., 0] = out
+        rows[..., 1] = b[j]
+        for i in range(j):
+            rows[..., 1] += A[j, i] * y[i].reshape((-1,) + (1,) * (j - 1 - i))
+        cols = np.stack([np.ones_like(y[j]), y[j], 0.5 * A[j, j] * y[j] * y[j]])
+        out = (rows.reshape(-1, 3) @ cols).reshape(out.shape + (-1,))
+    return out
+
+
+def affine_field(b, M, coords) -> list[np.ndarray]:
+    """The components of b + M x at the coordinates x (the grid meshes, or
+    one point's): the one formula of an affine field, drift or trap force."""
+    out = []
+    for i in range(len(coords)):
+        ui = np.multiply(M[i, 0], coords[0])
+        ui += b[i]
+        for j in range(1, len(coords)):
+            ui += M[i, j] * coords[j]
+        out.append(ui)
+    return out
+
+
 def potential_grid(grid: GridSpec, omega: Sequence[float],
                    angle: float = 0.0) -> np.ndarray:
     """Trap potential at the lab points R(angle) x of the nodes x."""
-    w2 = np.asarray(omega, dtype=float) ** 2
-    out = np.zeros(grid.shape)
-    for j, X in enumerate(lab_points(grid, angle)):
-        out += 0.5 * w2[j] * X * X
-    return out
+    return quadratic_grid(grid, np.diag(np.square(omega)), angle=angle)
 
 
 def expi(theta: np.ndarray) -> np.ndarray:
@@ -468,16 +499,13 @@ def make_gaussian(grid: GridSpec, center: Sequence[float] | None = None,
     return a / math.sqrt(float(norm2))
 
 
-def make_vortex_init(grid: GridSpec, winding: int, width: float = 1.0) -> np.ndarray:
-    """Central vortex profile r^|m| exp(-r^2/(2 w^2)) exp(i m theta), unit mass.
-
-    The phase winds `winding` times around the origin; the modulus
-    vanishes there (exactly, at the x = 0 node) so the field is smooth.
-    2d only.
-    """
+def make_vortex_init(grid: GridSpec, winding: int, width: float = 1.0,
+                     center: Sequence[float] = (0.0, 0.0)) -> np.ndarray:
+    """Vortex r^|m| exp(-r^2/(2 w^2)) exp(i m theta) of winding m about the
+    centre c, unit mass; |a| vanishes at c (exactly, when c is a node).  2d only."""
     if grid.dim != 2:
         raise ValueError("vortex initial data is 2d only")
-    X1, X2 = grid.meshes
+    X1, X2 = (X - cj for X, cj in zip(grid.meshes, center))
     r = np.hypot(X1, X2)
     theta = np.arctan2(X2, X1)
     m = int(winding)

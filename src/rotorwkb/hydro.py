@@ -62,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (GridSpec, NumericalAbort, SimParams, WaveField, _freeze,
-                   cpu_budget, expi, potential_gradient, rotation_generator,
+                   affine_field, cpu_budget, expi, quadratic_grid, rotation_generator,
                    time_grid)
 from .rays import QuadraticPhase, quadratic_phase_evolve
 
@@ -158,13 +158,12 @@ class WKBState:
 
     def ray_phase_field(self) -> np.ndarray:
         """S(t, x) sampled on the grid from the quadratic coefficients."""
-        pts = np.stack(self.grid.meshes, axis=-1)
-        return self.drift.value(pts)
+        return quadratic_grid(self.grid, self.drift.Sigma, self.drift.b, self.drift.c)
 
     def total_velocity(self) -> np.ndarray:
         """v + grad S, the velocity entering the limit observables."""
-        return self.v + np.array(_affine_field(self.drift.b, self.drift.Sigma,
-                                               self.grid.meshes))
+        return self.v + np.array(affine_field(self.drift.b, self.drift.Sigma,
+                                              self.grid.meshes))
 
     def to_wavefield(self) -> WaveField:
         """Reassemble psi = a exp(i(phi + S)/eps); requires eps > 0."""
@@ -200,24 +199,11 @@ class HydroState:
 
 # ---------- drift helpers ----------
 
-def _affine_field(b, M, coords) -> list[np.ndarray]:
-    """The components of b + M x at the coordinates x: the grid meshes,
-    or the coordinates of one point."""
-    out = []
-    for i in range(len(coords)):
-        ui = np.multiply(M[i, 0], coords[0])
-        ui += b[i]
-        for j in range(1, len(coords)):
-            ui += M[i, j] * coords[j]
-        out.append(ui)
-    return out
-
-
 def drift_fields(drift: QuadraticPhase, grid: GridSpec, params: SimParams):
     """w = (Sigma - Omega J) x + b on the grid, and the coupling matrix
     (the transposed drift Jacobian Sigma + Omega J)."""
     J = rotation_generator(grid.dim)
-    w = _affine_field(drift.b, drift.Sigma - params.Omega * J, grid.meshes)
+    w = affine_field(drift.b, drift.Sigma - params.Omega * J, grid.meshes)
     return w, drift.Sigma + params.Omega * J
 
 
@@ -460,8 +446,8 @@ def assemble_matrices(state: WKBState, xi, at: tuple) -> SystemMatrices:
         raise ValueError(f"symmetrizer needs f' > 0, got f'({rho:.3g}) = {fp:.3g}")
 
     drift, J = state.drift, rotation_generator(dim)
-    w = _affine_field(drift.b, drift.Sigma - state.params.Omega * J,
-                      [X[at] for X in state.grid.meshes])
+    w = affine_field(drift.b, drift.Sigma - state.params.Omega * J,
+                     [X[at] for X in state.grid.meshes])
     w_xi = float(sum(w[j] * xi[j] for j in range(dim)))
     v_xi = float(vloc @ xi)
 
@@ -746,8 +732,8 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     form and differentiates only the decaying remainder.
     """
     grid, params = h0.grid, h0.params
-    pts = np.stack(grid.meshes, axis=-1)
-    force = np.moveaxis(potential_gradient(pts, params.omega), -1, 0)
+    force = np.array(affine_field(np.zeros(grid.dim), np.diag(np.square(params.omega)),
+                                  grid.meshes))
 
     shadow = WKBState(np.sqrt(h0.rho), np.zeros(grid.shape), h0.v,
                       np.zeros(grid.shape), QuadraticPhase.zero(grid.dim), 0.0,

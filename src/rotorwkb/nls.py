@@ -19,9 +19,9 @@ nonlinearity, and K multiplies the full FFT by exp(-i eps dt |k|^2 / 2),
 one fftn/ifftn pair in 2d and 3d (SplitStepPlan.step applies the
 palindrome to a bare sample array).  Both factors have unit modulus, so
 every substep conserves the discrete L^2 mass to machine precision, and
-P leaves |psi| pointwise invariant.  When omega1 = omega2 the turn
-leaves V unchanged and P's potential is built once; otherwise each P
-builds it from three cached products of the frame nodes.
+P leaves |psi| pointwise invariant.  P's potential comes from the grid's
+one quadratic formula (core.potential_grid): built once when omega1 =
+omega2, as the turn leaves V unchanged, else by each P at its angle.
 
 evolve_nls applies one P per step: the P(dt/2) that closes step n and
 the P(dt/2) that opens step n+1 act on the same modulus with the same
@@ -47,7 +47,6 @@ roundoff.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -69,7 +68,8 @@ def _potential_nonlinear(values: np.ndarray, potential: np.ndarray,
 
 class SplitStepPlan:
     """The kinetic multiplier and the frame potential of repeated Strang
-    steps at a fixed dt."""
+    steps at a fixed dt.  The potential is core.potential_grid at the
+    frame angle, built once when omega1 = omega2."""
 
     def __init__(self, grid: GridSpec, params: SimParams, dt: float):
         self.params = params
@@ -77,27 +77,15 @@ class SplitStepPlan:
         self.turn = params.Omega * dt   # frame angle swept by one step
         k2 = sum(grid.wavenumber_mesh(axis) ** 2 for axis in range(grid.dim))
         self.kinetic = expi(k2 * (-0.5 * params.eps * dt))
-        self._products = None
-        if params.omega[0] == params.omega[1]:
-            self._potential = potential_grid(grid, params.omega)
-        else:
-            x1, x2 = grid.axes[0], grid.axes[1]
-            x1 = x1.reshape((-1,) + (1,) * (grid.dim - 1))
-            x2 = x2.reshape((1, -1) + (1,) * (grid.dim - 2))
-            self._products = (x1 * x1, x2 * x2, x1 * x2)
-            self._axial = (potential_grid(grid, (0.0, 0.0) + params.omega[2:])
-                           if grid.dim == 3 else None)
+        self.grid = grid
+        self._fixed = (potential_grid(grid, params.omega)
+                       if params.omega[0] == params.omega[1] else None)
 
     def potential(self, angle: float) -> np.ndarray:
         """V(R(angle) y) at the frame nodes y."""
-        if self._products is None:
-            return self._potential
-        w1, w2 = self.params.omega[0] ** 2, self.params.omega[1] ** 2
-        c, s = math.cos(angle), math.sin(angle)
-        sq1, sq2, cross = self._products
-        V = (0.5 * (w1 * c * c + w2 * s * s)) * sq1 + (0.5 * (w1 * s * s + w2 * c * c)) * sq2
-        V += (c * s * (w2 - w1)) * cross
-        return V if self._axial is None else V + self._axial
+        if self._fixed is not None:
+            return self._fixed
+        return potential_grid(self.grid, self.params.omega, angle)
 
     def step(self, values: np.ndarray, angle: float, lead: bool = True,
              join: bool = False) -> np.ndarray:

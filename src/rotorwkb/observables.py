@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (GridSpec, SimParams, WaveField, current_from_gradient, integrate,
-                   lab_points, potential_grid, spectral_gradient)
+                   potential_grid, quadratic_grid, spectral_gradient)
 from .hydro import HydroState, WKBState
 
 CSV_HEADER = "t,mass,energy,m_eps,n,X,xy"
@@ -82,14 +82,15 @@ def _record(t: float, rho: np.ndarray, J: np.ndarray, kin: np.ndarray,
     rho, current J and kinetic density kin, with x_perp . J = x2 J1 - x1 J2
     and Omega, V and G from params.  The nodes x stand for the lab points
     R(angle) x and J for R(angle) J.  m_eps, n and X do not change under
-    that turn, and rho, kin and G(rho) are scalars, so only xy and the
-    trap read the lab points."""
+    that turn, and rho, kin and G(rho) are scalars, so only the quadratic
+    fields xy and V read the lab points (core.quadratic_grid)."""
     meshes = grid.meshes
     m = float(integrate(meshes[0] * J[1] - meshes[1] * J[0], grid))
     n = float(integrate(sum(meshes[j] * J[j] for j in range(grid.dim)), grid))
-    Xm = float(integrate(sum(X * X for X in meshes) * rho, grid))
-    lab = lab_points(grid, angle)
-    xy = float(integrate(lab[0] * lab[1] * rho, grid))
+    Xm = float(integrate(quadratic_grid(grid, 2.0 * np.eye(grid.dim)) * rho, grid))
+    cross = np.zeros((grid.dim, grid.dim))
+    cross[0, 1] = cross[1, 0] = 1.0
+    xy = float(integrate(quadratic_grid(grid, cross, angle=angle) * rho, grid))
     trap = potential_grid(grid, params.omega, angle) * rho
     inter = params.nonlinearity.antiderivative(rho)
     e = float(integrate(kin + trap + inter, grid)) + params.Omega * m

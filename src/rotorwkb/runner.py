@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, _check_solver_constraints, serialize
-from .core import (WaveField, boundary_max, cpu_budget, gauge_distance, integrate,
-                   make_gaussian, make_vortex_init, sobolev_norm, spectral_gradient,
-                   turn_field, wkb_assemble)
+from .core import (WaveField, affine_field, boundary_max, cpu_budget, gauge_distance,
+                   integrate, make_gaussian, make_vortex_init, quadratic_grid,
+                   sobolev_norm, spectral_gradient, turn_field, wkb_assemble)
 from .hydro import HydroState, StepBoundError, WKBState, evolve_hydro, evolve_wkb
 from .nls import evolve_nls
 from .observables import (ObservableRecord, probability_current,
@@ -70,7 +70,8 @@ def amplitude_field(cfg: RunConfig) -> np.ndarray:
     if init.kind == "gaussian":
         return make_gaussian(grid, center=init.center, width=init.width).astype(complex)
     if init.kind == "vortex":
-        return make_vortex_init(grid, winding=init.winding, width=init.width)
+        return make_vortex_init(grid, winding=init.winding, width=init.width,
+                                center=init.center)
     return _file_field(init.path, grid, "initial")
 
 
@@ -88,11 +89,9 @@ def quadratic_phase(cfg: RunConfig) -> QuadraticPhase:
 def phase_field(cfg: RunConfig) -> np.ndarray:
     """The configured carrier phase sampled on the grid (real)."""
     grid = cfg.grid
-    if cfg.phase.kind == "zero":
-        return np.zeros(grid.shape)
-    if cfg.phase.kind == "quadratic":
-        pts = np.stack(grid.meshes, axis=-1)
-        return quadratic_phase(cfg).value(pts)
+    if cfg.phase.kind in ("zero", "quadratic"):
+        qp = quadratic_phase(cfg)
+        return quadratic_grid(grid, qp.Sigma, qp.b, qp.c)
     vals = _file_field(cfg.phase.path, grid, "phase")
     if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
         raise ConfigError("[run].phase: phase file must hold a real field")
@@ -113,12 +112,9 @@ def build_wkb_state(cfg: RunConfig, eps: float | None = None) -> WKBState:
 def build_hydro_state(cfg: RunConfig) -> HydroState:
     amp = amplitude_field(cfg)
     rho = np.abs(amp) ** 2
-    if cfg.phase.kind == "zero":
-        v = np.zeros((cfg.grid.dim,) + cfg.grid.shape)
-    elif cfg.phase.kind == "quadratic":
+    if cfg.phase.kind in ("zero", "quadratic"):
         qp = quadratic_phase(cfg)
-        pts = np.stack(cfg.grid.meshes, axis=-1)
-        v = np.moveaxis(qp.gradient(pts), -1, 0)
+        v = np.array(affine_field(qp.b, qp.Sigma, cfg.grid.meshes))
     else:
         grad = spectral_gradient(phase_field(cfg).astype(complex), cfg.grid)
         v = grad.real

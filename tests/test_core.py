@@ -22,13 +22,14 @@ from rotorwkb import (
     make_gaussian,
     make_vortex_init,
     potential_grid,
-    potential_gradient,
     rotation_generator,
     sobolev_norm,
     spectral_gradient,
     wkb_assemble,
 )
-from rotorwkb.core import gauge_distance, turn_field
+from rotorwkb.core import (affine_field, gauge_distance, lab_points, quadratic_grid,
+                           turn_field)
+from rotorwkb.rays import QuadraticPhase
 
 
 # ---------- parameters ----------
@@ -38,7 +39,6 @@ def test_potential_hand_value():
     # V = (omega1^2 x1^2 + omega2^2 x2^2) / 2 = (4 + 9) / 2
     x = np.array([1.0, 3.0])
     assert eval_potential(x, (2.0, 1.0)) == pytest.approx(6.5, abs=1e-15)
-    np.testing.assert_allclose(potential_gradient(x, (2.0, 1.0)), [4.0, 3.0])
 
 
 def test_potential_grid_matches_pointwise():
@@ -46,6 +46,27 @@ def test_potential_grid_matches_pointwise():
     V = potential_grid(grid, (2.0, 1.0))
     X1, X2 = grid.meshes
     np.testing.assert_allclose(V, 0.5 * (4.0 * X1**2 + X2**2), atol=1e-14)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("angle", [0.0, 0.4, -2.2, 11.0])
+def test_quadratic_grid_is_the_pointwise_value_at_the_lab_points(dim, angle):
+    # the grid formula against the pointwise references at the turned
+    # points, on a box with unequal axes; in 3d omega3 and the x3 entries
+    # of A and b are nonzero
+    grid = GridSpec((4.0, 3.0, 2.0)[:dim], (16, 8, 8)[:dim])
+    A = np.array([[0.7, -0.3, 0.2], [-0.3, 1.1, 0.4], [0.2, 0.4, -0.5]])[:dim, :dim]
+    b, c = np.array([0.3, -0.8, 0.5])[:dim], 0.25
+    x = np.stack(np.broadcast_arrays(*lab_points(grid, angle)), axis=-1)
+    np.testing.assert_allclose(quadratic_grid(grid, A, b, c, angle),
+                               QuadraticPhase(A, b, c).value(x), rtol=0, atol=1e-13)
+    omega = (1.0, 1.4, 0.8)[:dim]
+    np.testing.assert_allclose(potential_grid(grid, omega, angle),
+                               eval_potential(x, omega), rtol=0, atol=1e-13)
+    if angle == 0.0:
+        # b + A x, the gradient of the same quadratic
+        np.testing.assert_allclose(np.stack(affine_field(b, A, grid.meshes), axis=-1),
+                                   QuadraticPhase(A, b, c).gradient(x), rtol=0, atol=1e-14)
 
 
 def test_rotation_generator_2d():
@@ -377,17 +398,20 @@ def test_gaussian_center_shift():
 
 
 def test_vortex_mass_node_and_winding():
+    # centred, and about a node off the origin: the zero sits at the
+    # centre node, and the winding is taken around it
     grid = GridSpec.square(128, 8.0)
-    a = make_vortex_init(grid, winding=2)
-    assert integrate(np.abs(a) ** 2, grid) == pytest.approx(1.0, rel=1e-12)
-    assert a[64, 64] == 0.0  # modulus vanishes at the origin node
-    # phase increments around an index loop of radius ~1 sum to 2 pi m
-    theta = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
-    ii = np.round(64 + 16 * np.cos(theta)).astype(int)
-    jj = np.round(64 + 16 * np.sin(theta)).astype(int)
-    ph = np.unwrap(np.angle(a[ii, jj]))
-    total = ph[-1] - ph[0] + (ph[1] - ph[0])  # close the loop
-    assert total == pytest.approx(2.0 * np.pi * 2, rel=0.02)
+    for center, (i0, j0) in (((0.0, 0.0), (64, 64)), ((1.5, -0.75), (76, 58))):
+        a = make_vortex_init(grid, winding=2, center=center)
+        assert integrate(np.abs(a) ** 2, grid) == pytest.approx(1.0, rel=1e-12)
+        assert a[i0, j0] == 0.0  # modulus vanishes at the centre node
+        # phase increments around an index loop of radius ~2 sum to 2 pi m
+        theta = np.linspace(0.0, 2.0 * np.pi, 200, endpoint=False)
+        ii = np.round(i0 + 16 * np.cos(theta)).astype(int)
+        jj = np.round(j0 + 16 * np.sin(theta)).astype(int)
+        ph = np.unwrap(np.angle(a[ii, jj]))
+        total = ph[-1] - ph[0] + (ph[1] - ph[0])  # close the loop
+        assert total == pytest.approx(2.0 * np.pi * 2, rel=0.02)
     with pytest.raises(ValueError, match="2d only"):
         make_vortex_init(GridSpec.square(16, 4.0, dim=3), winding=1)
 

@@ -781,6 +781,20 @@ def test_compare_reads_an_nls_final_at_its_angle(tmp_path, capsys):
     assert "gauge_l2 = " in capsys.readouterr().out
 
 
+def test_vortex_config_honours_its_center():
+    # the config's centre places the vortex: its zero at the centre node,
+    # and its density centroid there; a centred config keeps its samples
+    text = "[grid]\npoints = 64 64\nhalf_extent = 8.0 8.0\n[run]\ninitial = vortex\n"
+    grid = GridSpec.square(64, 8.0)
+    a = amplitude_field(parse_config(text + "center = 2.0 1.0\n"))
+    rho = np.abs(a) ** 2
+    assert a[40, 36] == 0.0  # the node (2, 1)
+    for X, c in zip(grid.meshes, (2.0, 1.0)):
+        assert float(np.sum(X * rho) / np.sum(rho)) == pytest.approx(c, abs=1e-12)
+    centred = amplitude_field(parse_config(text))
+    assert centred.tobytes() == rotorwkb.make_vortex_init(grid, 1).tobytes()
+
+
 def test_initial_file_of_an_nls_final_is_its_lab_field(tmp_path):
     final, path = _rotating_nls_final(tmp_path)
     snap = load_field(final)

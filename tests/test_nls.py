@@ -9,7 +9,7 @@ internals.
 
 import numpy as np
 import pytest
-from packets import gauge_error, gaussian_packet
+from packets import gauge_error, gaussian_packet, vortex_packet
 
 from rotorwkb import nls
 from rotorwkb.core import lab_points
@@ -24,6 +24,7 @@ from rotorwkb import (
     make_gaussian,
     mass,
     potential_grid,
+    record_from_wavefield,
     wkb_assemble,
 )
 
@@ -94,18 +95,15 @@ def test_kinetic_multiplier_on_plane_wave_in_3d():
                                         (3, (1.0, 1.5, 0.8))])
 def test_frame_potential_is_the_trap_at_the_lab_points(dim, omega):
     # P reads V(R(angle) y) at the frame nodes y: built once when
-    # omega1 = omega2, else from three cached node products per call
+    # omega1 = omega2, else at each call
     grid = GridSpec.square(16, 4.0, dim=dim)
     plan = nls.SplitStepPlan(grid, SimParams(eps=0.25, Omega=0.9, omega=omega), 0.01)
-    for angle in (0.0, 0.4, -2.2, 11.0):
-        np.testing.assert_allclose(plan.potential(angle),
-                                   potential_grid(grid, omega, angle),
-                                   rtol=1e-13, atol=1e-13)
     X = grid.meshes
-    c, s = np.cos(0.4), np.sin(0.4)
-    lab = [c * X[0] - s * X[1], s * X[0] + c * X[1]] + list(X[2:])
-    expect = 0.5 * sum(w * w * Y * Y for w, Y in zip(omega, lab))
-    np.testing.assert_allclose(potential_grid(grid, omega, 0.4), expect, atol=1e-13)
+    for angle in (0.0, 0.4, -2.2, 11.0):
+        c, s = np.cos(angle), np.sin(angle)
+        lab = [c * X[0] - s * X[1], s * X[0] + c * X[1]] + list(X[2:])
+        expect = 0.5 * sum(w * w * Y * Y for w, Y in zip(omega, lab))
+        np.testing.assert_allclose(plan.potential(angle), expect, rtol=0, atol=1e-13)
 
 
 def test_potential_step_phase_and_modulus():
@@ -219,22 +217,28 @@ def test_reversibility():
 @pytest.mark.parametrize("Omega, omega", [(0.5, (1.0, 1.5)), (1.2, (1.0, 1.4))])
 def test_march_meets_the_exact_packet_at_second_order(Omega, omega):
     # f = 0 in an anisotropic rotating trap (Omega > omega1 in the second
-    # case): the exact Gaussian packet, read at the lab points of the
-    # march's frame, is the truth.  Halving dt divides the error by 4,
-    # and mass holds to roundoff.
+    # case): the exact Gaussian packet and Hagedorn's first-order vortex
+    # packet, read at the lab points of the march's frame, are the truth.
+    # Halving dt divides the error by 4, mass holds to roundoff, and the
+    # record's m_eps per unit mass is the exact packet's.
     grid = GridSpec.square(128, 8.0)
     params = SimParams(eps=0.25, Omega=Omega, omega=omega,
                        nonlinearity=Nonlinearity.none())
     packet = dict(q0=np.array([1.0, 0.5]), p0=np.array([0.3, -0.2]),
                   sigma0=np.array([[0.2 + 1.0j, 0.1], [0.1, -0.1 + 0.7j]]))
-    psi0 = WaveField(gaussian_packet(grid, params, 0.0, **packet), 0.0, grid, params)
-    errors = []
-    for dt in (2e-3, 1e-3):
-        out = evolve_nls(psi0, T=1.0, dt=dt)
-        exact = gaussian_packet(grid, params, 1.0, angle=out.angle, **packet)
-        errors.append(gauge_error(out.values, exact))
-        assert abs(mass(out) - mass(psi0)) / mass(psi0) < 1e-12
-    assert 3.5 <= errors[0] / errors[1] <= 4.5
+    for exact_at in (gaussian_packet, vortex_packet):
+        psi0 = WaveField(exact_at(grid, params, 0.0, **packet), 0.0, grid, params)
+        errors = []
+        for dt in (2e-3, 1e-3):
+            out = evolve_nls(psi0, T=1.0, dt=dt)
+            exact = exact_at(grid, params, 1.0, angle=out.angle, **packet)
+            errors.append(gauge_error(out.values, exact))
+            assert abs(mass(out) - mass(psi0)) / mass(psi0) < 1e-12
+            mine = record_from_wavefield(out)
+            truth = record_from_wavefield(WaveField(exact, 1.0, grid, params, out.angle))
+            assert mine.m_eps / mine.mass == pytest.approx(truth.m_eps / truth.mass,
+                                                           abs=1e-6)
+        assert 3.5 <= errors[0] / errors[1] <= 4.5, (exact_at.__name__, errors)
 
 
 def test_3d_march_meets_the_exact_packet_in_its_frame():

@@ -123,13 +123,17 @@ def test_probability_current_of_plane_phase():
 
 
 def test_vortex_angular_momentum_quantized():
+    # off the origin too: the vortex carries no net current, so its
+    # angular momentum about the origin is the one about its core
     grid = GridSpec.square(128, 8.0)
     eps = 0.25
     params = SimParams(eps=eps, Omega=0.0, omega=(1.0, 1.0))
-    for winding in (1, -2):
-        psi = WaveField(make_vortex_init(grid, winding), 0.0, grid, params)
-        assert record_from_wavefield(psi).m_eps == pytest.approx(eps * winding,
-                                                                 rel=1e-9)
+    for center in ((0.0, 0.0), (1.5, -0.75)):
+        for winding in (1, -2):
+            psi = WaveField(make_vortex_init(grid, winding, center=center), 0.0, grid,
+                            params)
+            assert record_from_wavefield(psi).m_eps == pytest.approx(eps * winding,
+                                                                     rel=1e-9)
 
 
 def test_limit_angular_momentum_of_rigid_field():
