@@ -68,18 +68,19 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _dispatch(ns, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
     except SweepError as exc:
-        kind, code = (("config error", 2) if isinstance(exc.__cause__, ConfigError)
+        # exit as the failed member's run would; no cause: a nonpositive metric
+        cause = exc.__cause__
+        if not isinstance(cause, (ValueError, OSError, NumericalAbort, type(None))):
+            raise
+        kind, code = (("config error", 2) if isinstance(cause, (ValueError, OSError))
                       else ("numerical abort", 3))
         print(f"{kind}: {exc}", file=sys.stderr)
         return code
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ConfigError among them
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -191,14 +191,14 @@ def _det_adj(G: np.ndarray):
 
 @dataclass
 class RayTrajectory:
-    """Stored ray history plus the dense tr Sigma record for quadrature.
+    """The stored rows of a ray's march, its only record.
 
-    caustic is True when a step met the caustic rule of integrate_rays:
-    det Gamma at or below CAUSTIC_DET at its end, or a rise of tr Sigma
-    by more than 1/h over it, which the trace law tr Sigma' = -tr Sigma^2
-    - sum omega_j^2 forbids between foci.  The trajectory then stops at
-    caustic_time, the last sample before that step, instead of the
-    requested horizon.
+    tr_sigma_sum holds the sum of tr Sigma over the steps 0..k at the row
+    of step k; h is the step and steps the number kept.  caustic is True
+    when a step met the caustic rule of integrate_rays: det Gamma at or
+    below CAUSTIC_DET at its end, or a rise of tr Sigma by more than 1/h
+    over it, which the trace law tr Sigma' = -tr Sigma^2 - sum omega_j^2
+    forbids between foci.  The steps kept then end at caustic_time.
     """
 
     times: np.ndarray
@@ -207,10 +207,16 @@ class RayTrajectory:
     sigma: np.ndarray
     gamma: np.ndarray
     action: np.ndarray
-    dense_times: np.ndarray
-    dense_tr_sigma: np.ndarray
+    tr_sigma_sum: np.ndarray
+    h: float
+    steps: int
     caustic: bool = False
     caustic_time: float | None = None
+
+    @property
+    def dense_times(self) -> np.ndarray:
+        """The times of the steps kept, built on demand."""
+        return self.times[0] + self.h * np.arange(self.steps + 1)
 
     @property
     def det_gamma(self) -> np.ndarray:
@@ -218,23 +224,17 @@ class RayTrajectory:
         return _det_adj(np.moveaxis(self.gamma, 0, -1))[0]
 
     def det_trace_gap(self) -> float:
-        """|det Gamma(end) - exp(int tr Sigma dt)| with Simpson quadrature.
+        """|det Gamma - exp(int tr Sigma dt)| at the last stored row.
 
-        The dense record is uniformly spaced, so composite Simpson
-        applies; an odd interval count gets one trapezoid tail.
+        The integral is the trapezoid rule over the march's steps, read
+        off the running sum, plus its Euler-Maclaurin end correction
+        -(h^2/12)(f'(end) - f'(0)) for f = tr Sigma.  The trace law f' =
+        -tr Sigma^2 - sum omega_j^2 turns it into (h^2/12)(tr Sigma_end^2
+        - tr Sigma_0^2), and the rule is 4th order in h.
         """
-        f = self.dense_tr_sigma
-        n = len(f) - 1
-        if n <= 0:
-            return 0.0
-        h = (self.dense_times[-1] - self.dense_times[0]) / n
-        total = 0.0
-        m = n if n % 2 == 0 else n - 1
-        if m >= 2:
-            total += (h / 3.0) * (f[0] + 4.0 * np.sum(f[1:m:2])
-                                  + 2.0 * np.sum(f[2:m - 1:2]) + f[m])
-        if m < n:
-            total += 0.5 * h * (f[n - 1] + f[n])
+        S0, S1, h = self.sigma[0], self.sigma[-1], self.h
+        total = (h * (self.tr_sigma_sum[-1] - 0.5 * (np.trace(S0) + np.trace(S1)))
+                 + h * h / 12.0 * (np.sum(S1 * S1.T) - np.sum(S0 * S0.T)))
         return float(abs(_det_adj(self.gamma[-1])[0] - np.exp(total)))
 
 
@@ -244,16 +244,17 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
 
     Rays are mutually independent, so they advance as one batched state:
     per ray the columns X = [z, Y] with z = (x, p) and the frame Y =
-    [Gamma; Sigma Gamma], and the action.  The march takes blocks of
-    steps: the increments Phi(kh) - I, k = 1..c, built once from Phi(h) - I,
-    give every step of a block in one matmul, and the action is the
-    running sum of the per-step quadratic forms.  det Gamma, tr Sigma and
-    the caustic tests are then read for the whole block at once.  A ray's
-    first failing step cuts its stored history at the last step before
-    it, as a step-by-step march would; the samples past the cut are never
-    read.  A block holds at most RAY_STEPS_PER_BLOCK ray-steps, so its
-    arrays stay small: at 4x that budget the peak memory of a 225-ray,
-    1000-step march rose by 4 MB, at 16x by 25 MB.
+    [Gamma; Sigma Gamma], the action and the sum of tr Sigma.  The march
+    takes blocks of steps: the increments Phi(kh) - I, k = 1..c, built once
+    from Phi(h) - I, give every step of a block in one matmul.  det Gamma,
+    tr Sigma and the caustic tests are then read for the whole block at
+    once, and one cumsum each carries the action (a sum of per-step
+    quadratic forms) and the tr Sigma sum across it.  A ray's first failing
+    step cuts its stored history at the last step before it, as a
+    step-by-step march would; the samples past the cut are never read.
+    Only the stored rows outlive their block, and a block holds at most
+    RAY_STEPS_PER_BLOCK ray-steps: at 4x that budget the peak memory of a
+    225-ray, 1000-step march rose by 4 MB, at 16x by 25 MB.
     """
     if store_stride < 1:
         raise ValueError(f"store_stride must be >= 1, got {store_stride}")
@@ -275,16 +276,13 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
     Y = np.concatenate([G, np.einsum("ikb,kjb->ijb", S, G)])
     X = np.concatenate([z[:, None], Y], axis=1)
     A = np.array([r.action for r in rays], dtype=float)
-    tr = np.trace(S)
-    t0 = rays[0].t
+    tr = F = np.trace(S)  # F: the running sum of tr Sigma over the steps
 
     steps_arr = np.append(np.arange(0, n_steps, store_stride), n_steps)
     X_at = np.empty((len(steps_arr),) + X.shape)
     S_at = np.empty((len(steps_arr),) + S.shape)
-    A_at = np.empty((len(steps_arr), B))
-    X_at[0], S_at[0], A_at[0] = X, S, A
-    dense_tr = np.empty((n_steps + 1, B))
-    dense_tr[0] = tr
+    A_at, F_at = np.empty((2, len(steps_arr), B))
+    X_at[0], S_at[0], A_at[0], F_at[0] = X, S, A, F
     cut_step = np.full(B, n_steps, dtype=int)
 
     done = 0
@@ -300,22 +298,22 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
             trk = sum(Xk[:, d + i, 1 + j] * adj[j, i]
                       for i in range(d) for j in range(d)) / detk
             rise = trk - np.concatenate([tr[None], trk[:-1]])
+            Fk = np.cumsum(np.concatenate([F[None], trk]), axis=0)[1:]
             ok = ((detk > CAUSTIC_DET) & np.isfinite(Xk[:, :, 0]).all(axis=1)
                   & (rise <= 1.0 / h))
             at = np.flatnonzero((steps_arr > done) & (steps_arr <= done + n))
             k = steps_arr[at] - done - 1
             Sk = (np.einsum("pikb,kjpb->pijb", Xk[k, d:, 1:], adj[:, :, k])
                   / detk[k, None, None])
-        X_at[at], S_at[at], A_at[at] = Xk[k], 0.5 * (Sk + np.swapaxes(Sk, 1, 2)), Ak[k]
-        dense_tr[done + 1:done + n + 1] = trk
+        X_at[at], S_at[at] = Xk[k], 0.5 * (Sk + np.swapaxes(Sk, 1, 2))
+        A_at[at], F_at[at] = Ak[k], Fk[k]
 
         newly = (cut_step == n_steps) & ~ok.all(axis=0)
         cut_step[newly] = done + np.argmax(~ok[:, newly], axis=0)
-        X, A, tr = Xk[-1], Ak[-1], trk[-1]
+        X, A, tr, F = Xk[-1], Ak[-1], trk[-1], Fk[-1]
         done += n
 
-    dense_t = t0 + h * np.arange(n_steps + 1)
-    times = dense_t[steps_arr]
+    times = rays[0].t + h * steps_arr
     out = []
     for i in range(B):
         n_keep = int(np.searchsorted(steps_arr, cut_step[i], side="right"))
@@ -327,10 +325,11 @@ def integrate_rays(rays: Sequence[Ray], dt: float, T: float, params: SimParams,
             sigma=S_at[:n_keep, ..., i],
             gamma=X_at[:n_keep, :d, 1:, i],
             action=A_at[:n_keep, i],
-            dense_times=dense_t[:cut_step[i] + 1].copy(),
-            dense_tr_sigma=dense_tr[:cut_step[i] + 1, i].copy(),
+            tr_sigma_sum=F_at[:n_keep, i],
+            h=h,
+            steps=int(cut_step[i]),
             caustic=caustic,
-            caustic_time=float(t0 + cut_step[i] * h) if caustic else None,
+            caustic_time=float(times[0] + cut_step[i] * h) if caustic else None,
         ))
     return out
 

@@ -702,6 +702,40 @@ def test_cli_partial_sweep_failure_exits_2_for_config_causes(tmp_path, capsys):
                    "--mode", "wkb"])
     assert rc == 2
     assert "eps = 0.25" in capsys.readouterr().err
+    # a file where a member writes its run: run-nls into that path exits 2
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "nls_eps_0.25").write_text("", encoding="utf-8")
+    assert cli.main(["run-nls", path, f"--run.outdir={blocked / 'nls_eps_0.25'}",
+                     "--run.T=0.01", "--run.dt=0.005"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert cli.main(["sweep", path, f"--run.outdir={blocked}", "--run.T=0.01",
+                     "--run.dt=0.005", "--eps", "0.25,0.125,0.0625", "--mode", "nls"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "eps = 0.25" in err
+
+
+# config and file causes exit 2 in the test above
+@pytest.mark.parametrize("cause, code", [
+    (NumericalAbort("non-finite amplitude", 3, 0.03), 3),
+    (None, 3),  # the sweep's own failure: a nonpositive error metric
+    (KeyError("a bug"), None),
+])
+def test_cli_sweep_failure_exits_as_its_member_would(tmp_path, capsys, monkeypatch,
+                                                     cause, code):
+    def failed(cfg, eps_list, mode):
+        raise SweepError("sweep aborted at eps = 0.25") from cause
+
+    monkeypatch.setattr(cli, "epsilon_sweep", failed)
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "sweep", "T = 0.1\n")
+    argv = ["sweep", path, "--eps", "0.25,0.125,0.0625"]
+    if code is None:
+        with pytest.raises(SweepError):
+            cli.main(argv)
+        return
+    assert cli.main(argv) == code
+    kind = "config error:" if code == 2 else "numerical abort:"
+    assert capsys.readouterr().err.startswith(kind)
 
 
 def test_cli_sweep_names_the_config_key_of_a_too_large_dt(tmp_path, capsys):

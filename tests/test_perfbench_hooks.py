@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rotorwkb import QuadraticPhase, SimParams, cli, rays
+from rotorwkb import QuadraticPhase, Ray, SimParams, cli, rays, runner
+from rotorwkb.core import time_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -107,3 +108,28 @@ def test_each_shot_lands_one_ray_under_the_tracer():
     shots = [s["id"] for s in tracer.spans if s["name"] == "rays.eval_phase_general"]
     landings = Counter(s["parent"] for s in tracer.spans if s["name"] == "rays.integrate_ray")
     assert len(shots) == 2 and landings == Counter(shots)
+
+
+def test_the_ray_span_counts_the_steps_each_ray_kept():
+    # rays.integrate.ray_steps sums the span's steps: a ray that a caustic
+    # cuts counts the steps up to its cut, every other ray all n steps.
+    # In the unit trap Sigma0 = -2 I focuses at t = pi/2 - arctan 2 = 0.46,
+    # a flat phase only at pi/2
+    params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
+    bundle = [Ray.from_phase((1.0, 0.5), QuadraticPhase(s * np.eye(2), np.zeros(2)))
+              for s in (0.0, -2.0, 0.0)]
+    n, h = time_grid(1.2, 0.01)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        trajs = runner.integrate_rays(bundle, 0.01, 1.2, params, store_stride=7)
+    finally:
+        tracer.restore()
+    assert [traj.caustic for traj in trajs] == [False, True, False]
+    kept = [round(traj.caustic_time / h) if traj.caustic else n for traj in trajs]
+    assert kept[1] < n
+    (span,) = [s for s in tracer.spans if s["name"] == "rays.integrate_rays"]
+    assert span["steps"] == kept
+    metrics = spans.layer_metrics(tracer.spans, 1.0, span["thread"])
+    assert metrics["rays.integrate.ray_steps"] == sum(kept)

@@ -10,6 +10,8 @@ x(t)) = s(t) along each) and against the eikonal equation via a
 five-point time difference.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -242,11 +244,31 @@ def test_block_march_matches_the_stepwise_reference(monkeypatch, bundle, params,
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         # Sigma = (Sigma Gamma) adj Gamma / det Gamma: either march reads it
         # with its relative digits cut by |Gamma|^d / det Gamma, which grows
-        # without bound toward a caustic
+        # without bound toward a caustic; the running tr Sigma sum adds up
+        # those cuts over the steps
         G_cond = np.linalg.norm(G, axis=(1, 2)) ** d / np.linalg.det(G)
-        for got, want, scale in ((traj.sigma, S, G_cond[:, None, None]),
-                                 (traj.dense_tr_sigma, tr, cond)):
-            assert np.max(np.abs(got - want) / scale) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(traj.sigma - S) / G_cond[:, None, None]) \
+            <= 1e-12 * np.max(np.abs(S))
+        assert np.max(np.abs(traj.tr_sigma_sum - np.cumsum(tr)[steps])
+                      / np.cumsum(cond)[steps]) <= 1e-12 * np.max(np.abs(tr))
+
+
+def test_march_memory_follows_the_stored_rows():
+    # 25 rays keep 11 stored rows each at both dt; the march keeps no
+    # per-step record, so 100x the steps leaves its traced peak in place
+    phase = QuadraticPhase(np.array([[0.2, 0.05], [0.05, -0.1]]), np.array([0.1, 0.0]))
+    bundle = [Ray.from_phase((x1, x2), phase)
+              for x1 in np.linspace(-1.0, 1.0, 5) for x2 in np.linspace(-1.0, 1.0, 5)]
+    peaks = []
+    for dt, stride in ((1e-3, 100), (1e-5, 10 ** 4)):
+        tracemalloc.start()
+        try:
+            trajs = integrate_rays(bundle, dt, 1.0, ROT2, store_stride=stride)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert all(len(traj.times) == 11 and not traj.caustic for traj in trajs)
+    assert abs(peaks[1] - peaks[0]) < 2 ** 20, peaks
 
 
 def test_caustic_truncates_trajectory():
@@ -262,13 +284,20 @@ def test_caustic_truncates_trajectory():
 
 def test_focus_between_samples_is_flagged():
     # det Gamma = cos(t)^2 touches zero at pi/2 without changing sign; at
-    # dt = 1e-3 both neighbouring samples sit above the caustic floor
+    # dt = 1e-3 both neighbouring samples sit above the caustic floor.  At
+    # a stride the last stored row falls before the cut, and det Gamma =
+    # exp(int tr Sigma) holds there; at stride 1 that row sits at the
+    # focus, where either side reads the quadrature's 2-3e-8
     params = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0))
-    traj = integrate_ray(Ray.from_phase((1.0, 0.0), QuadraticPhase.zero(2)),
-                         dt=1e-3, T=2.0, params=params)
-    assert traj.caustic
-    assert abs(traj.caustic_time - np.pi / 2.0) <= 1e-3
-    assert traj.times[-1] <= traj.caustic_time + 1e-12
+    for stride in (1, 7, 100):
+        traj = integrate_ray(Ray.from_phase((1.0, 0.0), QuadraticPhase.zero(2)),
+                             dt=1e-3, T=2.0, params=params, store_stride=stride)
+        assert traj.caustic
+        assert abs(traj.caustic_time - np.pi / 2.0) <= 1e-3
+        assert traj.times[-1] <= traj.caustic_time + 1e-12
+        if stride > 1:
+            assert traj.times[-1] < traj.caustic_time
+            assert traj.det_trace_gap() < 1e-8
 
 
 @pytest.mark.parametrize("Omega", [0.0, 0.5])
