@@ -481,6 +481,14 @@ def wkb_assemble(amplitude: np.ndarray, phase: np.ndarray, grid: GridSpec,
     return WaveField(amplitude * np.exp(1j * phase / params.eps), t, grid, params)
 
 
+def _unit_mass(a: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """a at unit mass; a mass not > 0 and finite (underflow, say) is refused."""
+    norm2 = float(integrate(np.abs(a) ** 2, grid))
+    if not 0.0 < norm2 < math.inf:
+        raise ValueError(f"the start amplitude has mass {norm2:g} on the grid")
+    return a / math.sqrt(norm2)
+
+
 def make_gaussian(grid: GridSpec, center: Sequence[float] | None = None,
                   width: float = 2.0 ** -0.5) -> np.ndarray:
     """Real Gaussian bump exp(-|x - c|^2 / (2 width^2)), unit mass.
@@ -494,9 +502,7 @@ def make_gaussian(grid: GridSpec, center: Sequence[float] | None = None,
     r2 = np.zeros(grid.shape)
     for X, c in zip(grid.meshes, center):
         r2 += (X - c) ** 2
-    a = np.exp(-r2 / (2.0 * width * width))
-    norm2 = integrate(a * a, grid)
-    return a / math.sqrt(float(norm2))
+    return _unit_mass(np.exp(-r2 / (2.0 * width * width)), grid)
 
 
 def make_vortex_init(grid: GridSpec, winding: int, width: float = 1.0,
@@ -510,8 +516,7 @@ def make_vortex_init(grid: GridSpec, winding: int, width: float = 1.0,
     theta = np.arctan2(X2, X1)
     m = int(winding)
     a = r ** abs(m) * np.exp(-r * r / (2.0 * width * width)) * np.exp(1j * m * theta)
-    norm2 = integrate(np.abs(a) ** 2, grid)
-    return a / math.sqrt(float(norm2))
+    return _unit_mass(a, grid)
 
 
 # ---------- norms ----------

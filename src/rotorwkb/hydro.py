@@ -37,7 +37,7 @@ adv_j u) is copied once into a buffer with 2 periodic ghost layers per
 axis, and D1 and D2 along every axis read shifted views of that copy,
 with 1/(12 h) folded into the stencil weights.  d1, d2, laplacian and
 gradient are the same stencils in np.roll form, the reference the tests
-compare against.  The march allocates its grid arrays once, runs
+compare against.  The march allocates its registers once, runs
 low-storage RK4 with the classical accumulation order, and stops before
 a step that exceeds the advective bound 0.5 dx / max|v + w|.
 
@@ -254,20 +254,19 @@ class _Strip:
     """Rows lo:hi of the grid and the buffers of their right-hand side.
 
     A strip reads its haloed rows, lo - 2 to hi + 1 taken around the grid,
-    of the march's arrays and writes only its rows; one strip over the
-    whole grid reads the periodic wrap.  bands pairs the grid rows of the
-    halo before, the strip and the halo after with the haloed rows they
-    fill; strips of at least 2 rows keep each band contiguous.
-    haloed_adv (v + w) and haloed_rho are formed over the bands, and adv,
-    the strip's rows of haloed_adv, stays after each call for the march's
-    speed read.  field and product hold the wrapped copies of the field
-    being differentiated and of one product adv_j u.
+    of the march's registers and writes only its rows, reg[:, rows]; one
+    strip over the whole grid reads the periodic wrap.  bands pairs the
+    grid rows of the halo before, the strip and the halo after with the
+    haloed rows they fill; strips of at least 2 rows keep each band
+    contiguous.  haloed_adv (v + w) and haloed_rho are formed over the
+    bands, and adv, the strip's rows of haloed_adv, stays after each call
+    for the march's speed read.  field and product hold the wrapped copies
+    of the field being differentiated and of one product adv_j u.
     """
 
     def __init__(self, grid: GridSpec, lo: int, hi: int):
         n0, n = grid.shape[0], hi - lo
         shape = (n,) + grid.shape[1:]
-        self.dim = grid.dim
         self.rows = slice(lo, hi)
         self.core = slice(2, n + 2)
         self.bands = ((slice((lo - 2) % n0, (lo - 2) % n0 + 2), slice(0, 2)),
@@ -283,13 +282,6 @@ class _Strip:
         # the stencils' 1/(12 h) and 1/(12 h^2), folded into their weights
         self.c1 = [1.0 / (12.0 * h) for h in grid.spacing]
         self.c2 = [1.0 / (12.0 * h * h) for h in grid.spacing]
-
-    def part(self, u: np.ndarray) -> np.ndarray:
-        """The strip's rows of a grid array or of a stack of them (v)."""
-        return u[self.rows] if u.ndim == self.dim else u[:, self.rows]
-
-    def parts(self, arrays) -> list[np.ndarray]:
-        return [self.part(u) for u in arrays]
 
 
 def _d1(out, shifts, c, tmp):
@@ -326,10 +318,11 @@ def _add_d2(acc, shifts, c, tmp):
     acc -= tmp
 
 
-def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
-                eps: float, out, strip: _Strip):
-    """Write the rates of (alpha, beta, v) on the strip's rows into out[:3];
-    return f(rho) on those rows.
+def _fields_rhs(y, w, coupling, grid: GridSpec, params: SimParams, eps: float,
+                out, strip: _Strip):
+    """Write the rates of y's rows alpha, beta, v_1..v_d on the strip's
+    rows into the same rows of out, both registers of _march (phi's row,
+    if any, is neither read nor written); return f(rho) on those rows.
 
     The amplitude advection is in split (skew-symmetric) form.  adv, rho
     and each differentiated field's one wrapped copy are formed on the
@@ -339,7 +332,8 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
     it without a second pass and the limit route never forms the phase
     rate.
     """
-    dalpha, dbeta, dv = strip.parts(out[:3])
+    alpha, beta, v = y[0], y[1], y[2:2 + grid.dim]
+    dalpha, dbeta, *dv = out[:2 + grid.dim, strip.rows]
     hadv, adv, rho = strip.haloed_adv, strip.adv, strip.haloed_rho
     tmp, tmp2, c1 = strip.tmp, strip.tmp2, strip.c1
     field, product, bands = strip.field, strip.product, strip.bands
@@ -355,7 +349,7 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
     dbeta.fill(0.0)
     for whole, rate, other, half_eps in ((alpha, dalpha, dbeta, 0.5 * eps),
                                          (beta, dbeta, dalpha, -0.5 * eps)):
-        u = strip.part(whole)
+        u = whole[strip.rows]
         field.load(whole, bands)
         for j in range(grid.dim):
             _d1(tmp, field.shifts[j], -0.5 * c1[j], tmp2)
@@ -378,7 +372,7 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
     field.load(f_rho)
     for i in range(grid.dim):
         _d1(dv[i], field.shifts[i], -c1[i], tmp)
-    vs = strip.part(v)
+    vs = v[:, strip.rows]
     for i in range(grid.dim):
         field.load(v[i], bands)
         for j in range(grid.dim):
@@ -392,25 +386,26 @@ def _fields_rhs(alpha, beta, v, w, coupling, grid: GridSpec, params: SimParams,
 
 def _phase_rate(v, w, f_rho, *, out, strip: _Strip):
     """Write d_t phi = -(w . v + |v|^2/2 + f(rho)) on the strip's rows
-    into out."""
-    tmp, vs, rate = strip.tmp, strip.part(v), strip.part(out)
+    into out, a grid array."""
+    tmp, vs, rate = strip.tmp, v[:, strip.rows], out[strip.rows]
     np.negative(f_rho, out=rate)
     for j in range(len(w)):
         np.multiply(vs[j], 0.5, out=tmp)
-        tmp += strip.part(w[j])
+        tmp += w[j][strip.rows]
         tmp *= vs[j]
         rate -= tmp
 
 
 def rhs_wkb(state: WKBState):
     """Time derivative of (alpha, beta, v, phi) at the state's drift and eps."""
-    w, coupling = drift_fields(state.drift, state.grid, state.params)
-    whole = _Strip(state.grid, 0, state.grid.shape[0])
-    out = [np.empty_like(u) for u in (state.alpha, state.beta, state.v, state.phi)]
-    f_rho = _fields_rhs(state.alpha, state.beta, state.v, w, coupling, state.grid,
-                        state.params, state.eps, out, whole)
-    _phase_rate(state.v, w, f_rho, out=out[3], strip=whole)
-    return tuple(out)
+    grid = state.grid
+    w, coupling = drift_fields(state.drift, grid, state.params)
+    whole = _Strip(grid, 0, grid.shape[0])
+    y = np.concatenate([state.alpha[None], state.beta[None], state.v, state.phi[None]])
+    out = np.empty_like(y)
+    f_rho = _fields_rhs(y, w, coupling, grid, state.params, state.eps, out, whole)
+    _phase_rate(y[2:-1], w, f_rho, out=out[-1], strip=whole)
+    return out[0], out[1], out[2:-1], out[-1]
 
 
 # ---------- hyperbolic structure ----------
@@ -511,13 +506,6 @@ def cfl_limits(state: WKBState) -> tuple[float, float]:
     return adv, disp
 
 
-def _stage(stage, y, c, k):
-    """stage = y + c k for the fields that have a stage (phi has none)."""
-    for s, u, r in zip(stage, y, k):
-        np.multiply(r, c, out=s)
-        s += u
-
-
 def _strips(grid: GridSpec) -> list[_Strip]:
     """The march's row strips: one per CPU of the budget, as long as each
     keeps MIN_STRIP_POINTS grid points; small grids stay in one strip."""
@@ -563,75 +551,75 @@ def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
     """The RK4 loop of the WKB and limit-hydro systems.
 
     fields are the caller's RK4 fields, (alpha, beta, v) first, frozen
-    state arrays that the march copies and never writes.  Only alpha,
-    beta and v get stage values, as no rate reads phi, and the sponge
-    relaxes them toward fields, their start.  rates(strip, alpha, beta,
-    v, drift_fields, out) writes the strip's rows of one rate per field
-    into out, using the strip's buffers; sample(k) gives the drift
-    fields at half step k: evolve_wkb samples its exact drift path there,
-    evolve_hydro hands back the fields it built once.  Stages 2 and 3
-    share the midpoint sample.  The endpoint sample is built again as
-    the next step's start: carried across the step, it would stay alive
-    through the observer call, which sets the march's peak memory.
+    state arrays that the march never writes.  It packs them into the
+    register y, one array with rows alpha, beta, v_1..v_d (the order of
+    assemble_matrices) and then phi on the WKB route; acc and k have the
+    same rows, stage the first m = 2 + d, as no rate reads phi.  The
+    sponge relaxes y's first m rows toward fields, their start, read as
+    one grid array per row.  rates(strip, y, drift_fields, out) writes the
+    strip's rows of every rate into out from y's first m rows, using the
+    strip's buffers; sample(k) gives the drift fields at half step k:
+    evolve_wkb samples its exact drift path there, evolve_hydro hands
+    back the fields it built once.  Stages 2 and 3 share the midpoint
+    sample.  The endpoint sample is built again as the next step's start:
+    carried across the step, it would stay alive through the observer
+    call, which sets the march's peak memory.
 
     The grid is cut along axis 0 into strips (_strips), and the march
     runs strip by strip, the first strip on the calling thread and the
     others on a thread pool of this march, shut down however the march
     ends: the rates, the stage updates, the accumulation, the sponge and
-    the finite check.  A strip's rates read its neighbours' rows of the
-    stage values as its halo, so the stage values that stages 3 and 4
-    read are written in a pass of their own, after every strip's rates.
-    The arrays are allocated once and stepped in place.  RK4 is
-    low-storage: one stage's rates are live at a time, and acc sums them
-    as k1 + 2 k2 + 2 k3 + k4 in that order, the bits of the four-rate
-    form.  Stage 1 leaves v + w in the strips' buffers; the march raises
-    NumericalAbort before a step whose h exceeds the advective bound
-    0.5 dx / max|v + w| read there.  Any strip count gives the same
-    bits.  make_state(fields, step, t) copies the fields into a state for
-    the observer and for the return.
+    the finite check.  A strip's rows of a register are reg[:, rows], so
+    each update is one numpy call per register.  A strip's rates read
+    its neighbours' rows of the stage values as its halo, so the stage
+    values that stages 3 and 4 read are written in a pass of their own,
+    after every strip's rates.  The registers are allocated once and
+    stepped in place.  RK4 is low-storage: one stage's rates are live at
+    a time, and acc sums them as k1 + 2 k2 + 2 k3 + k4 in that order, the
+    bits of the four-rate form.  Stage 1 leaves v + w in the strips'
+    buffers; the march raises NumericalAbort before a step whose h
+    exceeds the advective bound 0.5 dx / max|v + w| read there.  Any
+    strip count gives the same bits.  make_state(y, step, t) copies y's
+    rows into a state for the observer and for the return.
     """
     if observer_stride < 1:
         raise ValueError(f"observer_stride must be >= 1, got {observer_stride}")
-    y = [np.array(u) for u in fields]
-    acc = [np.empty_like(u) for u in y]
-    k = [np.empty_like(u) for u in y]
-    stage = [np.empty_like(u) for u in y[:3]]
+    y = np.concatenate([np.reshape(u, (-1,) + grid.shape) for u in fields])
+    acc, k = np.empty_like(y), np.empty_like(y)
+    m = 2 + grid.dim
+    stage = np.empty_like(y[:m])
+    starts = [fields[0], fields[1], *fields[2]]
     strips = _strips(grid)
     damp = np.exp(-_sponge_profile(grid, sponge_strength) * h)
 
-    # each strip's rows of the march's arrays
-    rows = {s: [s.parts(a) for a in (y, acc, k, stage, fields)] for s in strips}
-    damps = {s: s.part(damp) for s in strips}
-
     def first(strip, drift):
         # k1 into acc, the stage values y + (h/2) k1; the strip's max |v + w|^2
-        ys, accs, _, stages, _ = rows[strip]
-        rates(strip, *y[:3], drift, acc)
-        _stage(stages, ys, 0.5 * h, accs)
+        rates(strip, y, drift, acc)
+        np.multiply(acc[:m, strip.rows], 0.5 * h, out=stage[:, strip.rows])
+        stage[:, strip.rows] += y[:m, strip.rows]
         return _speed2_max(strip.adv, strip.tmp, strip.tmp2)
 
     def advance(strip, c):
         # the stage values y + c k, once every strip has read the old ones
-        ys, accs, ks, stages, _ = rows[strip]
-        _stage(stages, ys, c, ks)
-        for a, r in zip(accs, ks):
-            r *= 2.0
-            a += r
+        ks = k[:, strip.rows]
+        np.multiply(ks[:m], c, out=stage[:, strip.rows])
+        stage[:, strip.rows] += y[:m, strip.rows]
+        ks *= 2.0
+        acc[:, strip.rows] += ks
 
     def last(strip, drift):
         # k4, the step, the sponge; whether the strip's fields stayed finite
-        ys, accs, ks, _, starts = rows[strip]
-        rates(strip, *stage, drift, k)
-        for u, a, r in zip(ys, accs, ks):
-            a += r
-            a *= h / 6.0
-            u += a
+        rates(strip, stage, drift, k)
+        ys, accs = y[:, strip.rows], acc[:, strip.rows]
+        accs += k[:, strip.rows]
+        accs *= h / 6.0
+        ys += accs
         if sponge_strength > 0:
-            for u, u0 in zip(ys[:3], starts):
-                u -= u0
-                u *= damps[strip]
-                u += u0
-        return all(np.isfinite(u).all() for u in ys[:3])
+            for u, u0 in zip(ys, starts):
+                u -= u0[strip.rows]
+                u *= damp[strip.rows]
+                u += u0[strip.rows]
+        return np.isfinite(ys[:m]).all()
 
     t = 0.0
     with _strip_pool(len(strips)) as pool:
@@ -648,7 +636,7 @@ def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
                     f"= 0.5 dx / max|v + w| in step {step} (t = {t:.6g})", step, t)
             mid = sample(k0 + 1)
             for c in (0.5 * h, h):
-                _on_strips(pool, strips, rates, *stage, mid, k)
+                _on_strips(pool, strips, rates, stage, mid, k)
                 _on_strips(pool, strips, advance, c)
             del mid
             finite = all(_on_strips(pool, strips, last, sample(k0 + 2)))
@@ -660,7 +648,7 @@ def _march(fields, rates, sample, make_state, grid: GridSpec, n_steps: int,
             if observer is not None and (step % observer_stride == 0 or step == n_steps):
                 observer(t, make_state(y, step, t))
 
-    del acc, k, stage, strips, rows
+    del acc, k, stage, strips
     return make_state(y, n_steps, t)
 
 
@@ -700,14 +688,14 @@ def evolve_wkb(state0: WKBState, T: float, dt: float | None = None,
         raise NumericalAbort(f"the drift phase reaches a caustic in step {step}, "
                              f"after t = {path.blowup_time:.6g}", step, path.blowup_time)
 
-    def rates(strip, al, be, vv, fields, out):
+    def rates(strip, y, fields, out):
         w, coupling = fields
-        f_rho = _fields_rhs(al, be, vv, w, coupling, grid, params, eps, out, strip)
-        _phase_rate(vv, w, f_rho, out=out[3], strip=strip)
+        f_rho = _fields_rhs(y, w, coupling, grid, params, eps, out, strip)
+        _phase_rate(y[2:2 + grid.dim], w, f_rho, out=out[-1], strip=strip)
 
-    def make_state(fields, step, t):
-        return WKBState(*fields, path.at_index(2 * step), eps, state0.t + t, grid,
-                        params)
+    def make_state(y, step, t):
+        return WKBState(y[0], y[1], y[2:-1], y[-1], path.at_index(2 * step), eps,
+                        state0.t + t, grid, params)
 
     return _march([state0.alpha, state0.beta, state0.v, state0.phi], rates,
                   lambda k: drift_fields(path.at_index(k), grid, params), make_state,
@@ -741,14 +729,12 @@ def evolve_hydro(h0: HydroState, T: float, dt: float | None = None,
     dt = _resolve_dt(shadow, dt, "evolve_hydro")
     fixed = drift_fields(shadow.drift, grid, params)
 
-    def rates(strip, al, be, vv, fields, out):
-        _fields_rhs(al, be, vv, *fields, grid, params, 0.0, out, strip)
-        dv = strip.part(out[2])
-        dv -= strip.part(force)
+    def rates(strip, y, fields, out):
+        _fields_rhs(y, *fields, grid, params, 0.0, out, strip)
+        out[2:, strip.rows] -= force[:, strip.rows]
 
-    def make_state(fields, step, t):
-        al, be, vv = fields
-        return HydroState(al * al + be * be, vv, h0.t + t, grid, params)
+    def make_state(y, step, t):
+        return HydroState(y[0] * y[0] + y[1] * y[1], y[2:], h0.t + t, grid, params)
 
     return _march([shadow.alpha, shadow.beta, shadow.v], rates, lambda k: fixed,
                   make_state, grid, *time_grid(T, dt), observer, observer_stride,

@@ -54,10 +54,14 @@ class RunResult:
 
 # ---------- initial-state assembly ----------
 
-def _file_field(path, grid, key: str) -> np.ndarray:
+def _file_field(path, grid, key: str, refused: tuple[str, ...]) -> np.ndarray:
     """The samples of a saved field on the configured lab grid: a file
-    at a nonzero angle (an NLS state in its frame) is turned to angle 0."""
+    at a nonzero angle (an NLS state in its frame) is turned to angle 0.
+    A file of a refused kind (Snapshot.kind) is a config error of key."""
     snap = load_field(path)
+    if snap.kind in refused:
+        raise ConfigError(f"[run].{key}: {path} holds a {snap.tag!r} field, "
+                          f"which [run].{key} does not take")
     if snap.grid != grid:
         raise ConfigError(f"[run].{key}: file grid {snap.grid.points} x "
                           f"{snap.grid.half_extent} does not match configured grid")
@@ -67,12 +71,15 @@ def _file_field(path, grid, key: str) -> np.ndarray:
 def amplitude_field(cfg: RunConfig) -> np.ndarray:
     """The configured a_in sampled on the grid (complex)."""
     init, grid = cfg.initial, cfg.grid
-    if init.kind == "gaussian":
-        return make_gaussian(grid, center=init.center, width=init.width).astype(complex)
-    if init.kind == "vortex":
-        return make_vortex_init(grid, winding=init.winding, width=init.width,
-                                center=init.center)
-    return _file_field(init.path, grid, "initial")
+    try:
+        if init.kind == "gaussian":
+            return make_gaussian(grid, center=init.center, width=init.width).astype(complex)
+        if init.kind == "vortex":
+            return make_vortex_init(grid, winding=init.winding, width=init.width,
+                                    center=init.center)
+    except ValueError as exc:  # no mass on the grid
+        raise ConfigError(f"[run].center, [run].width: {exc}") from None
+    return _file_field(init.path, grid, "initial", ("hydro",))  # rho is no amplitude
 
 
 def quadratic_phase(cfg: RunConfig) -> QuadraticPhase:
@@ -92,7 +99,7 @@ def phase_field(cfg: RunConfig) -> np.ndarray:
     if cfg.phase.kind in ("zero", "quadratic"):
         qp = quadratic_phase(cfg)
         return quadratic_grid(grid, qp.Sigma, qp.b, qp.c)
-    vals = _file_field(cfg.phase.path, grid, "phase")
+    vals = _file_field(cfg.phase.path, grid, "phase", ("nls", "wkb", "hydro"))
     if np.max(np.abs(vals.imag)) > 1e-12 * max(1.0, np.max(np.abs(vals.real))):
         raise ConfigError("[run].phase: phase file must hold a real field")
     return vals.real.copy()
@@ -179,7 +186,6 @@ def run(cfg: RunConfig) -> RunResult:
     if cfg.solver in ("wkb", "hydro"):
         _checked_budget()  # the march's strips read it; refuse before any file
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     t_wall = time.perf_counter()
     records: list[ObservableRecord] = []
     artifacts: list[Path] = []
@@ -204,6 +210,11 @@ def run(cfg: RunConfig) -> RunResult:
         march = partial(_evolve_fields, evolve_hydro, state0, cfg)
     elif cfg.solver == "rays":
         bundle = build_ray_bundle(cfg)
+    else:
+        raise ConfigError(f"[run].solver: unknown solver {cfg.solver!r}")
+
+    outdir.mkdir(parents=True, exist_ok=True)  # only now: a refused build writes nothing
+    if cfg.solver == "rays":
         trajectories = integrate_rays(bundle, dt=cfg.dt or RAYS_DEFAULT_DT,
                                       T=cfg.T, params=cfg.sim,
                                       store_stride=cfg.stride)
@@ -214,9 +225,6 @@ def run(cfg: RunConfig) -> RunResult:
         cut = [traj.caustic_time for traj in trajectories if traj.caustic]
         ledger = {"caustic_count": len(cut), "first_caustic_time": min(cut, default=None)}
     else:
-        raise ConfigError(f"[run].solver: unknown solver {cfg.solver!r}")
-
-    if cfg.solver != "rays":
         save("initial.rsfw", state0, tag)
 
         def observer(t, state):
@@ -361,7 +369,6 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
         _check_solver_constraints(replace(cfg, solver=route))
 
     base_out = Path(cfg.outdir)
-    base_out.mkdir(parents=True, exist_ok=True)
     grid = cfg.grid
     cell = grid.cell
     results: dict[float, tuple[dict[str, float], float]] = {}
@@ -439,6 +446,7 @@ def epsilon_sweep(cfg: RunConfig, eps_list, mode: str = "both") -> SweepResult:
         "floor_limited": floors, "wall_times_s": list(walls),
         "complete": failure is None,
     }
+    base_out.mkdir(parents=True, exist_ok=True)  # no member may have made it
     (base_out / "sweep.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 

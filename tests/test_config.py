@@ -135,7 +135,7 @@ def test_rejects_bad_text(text, fragment):
 def test_phase_file_forbidden_for_phase_transport_solvers(tmp_path):
     grid = GridSpec.square(16, 4.0)
     p = tmp_path / "phase.rsfw"
-    save_field(p, np.zeros(grid.shape, dtype=complex), grid, eps=0.25, t=0.0)
+    save_field(p, np.zeros(grid.shape), grid, eps=0.0, t=0.0, tag="phase")
     text = f"[grid]\npoints = 16\nhalf_extent = 4\n[run]\nphase = file:{p}\n"
     assert parse_config(text + "solver = nls\n").phase.path == str(p)
     for solver in ("wkb", "rays"):

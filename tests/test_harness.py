@@ -207,6 +207,18 @@ def test_sweep_scores_both_routes_against_the_limit(tmp_path):
         assert (tmp_path / "sweep" / f"wkb_eps_{eps}" / "manifest.json").exists()
 
 
+def test_sweep_turns_the_limit_into_the_members_frame(tmp_path):
+    # Omega = 1: the NLS members end in a frame turned by T, so the
+    # reference density and current (with its components) are turned to
+    # that frame before scoring; an unturned limit leaves no eps slope
+    sim = SimParams(eps=0.25, Omega=1.0, omega=(1.0, 1.0))
+    cfg = small_cfg(tmp_path / "sweep", sim=sim, T=0.5,
+                    initial=replace(RunConfig().initial, center=(0.5, 0.25)))
+    result = epsilon_sweep(cfg, (0.5, 0.25, 0.125), mode="nls")
+    assert result.slopes["density_l1"] > 1.5
+    assert result.slopes["current_l2"] > 1.5
+
+
 def test_sweep_flags_metrics_at_the_error_floor(tmp_path):
     # a vanishing horizon leaves nothing but roundoff to measure
     sim = SimParams(eps=0.25, Omega=0.0, omega=(1.0, 1.0),
@@ -570,6 +582,27 @@ def test_cli_reports_config_errors_with_exit_2(tmp_path, capsys):
     assert "[run].stride: must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("start", ["center = 100 100", "width = 1e-200"])
+def test_cli_refuses_a_start_with_no_mass_before_writing(tmp_path, capsys, start):
+    # the Gaussian underflows to 0 on the grid, or its 2 width^2 does: no
+    # unit-mass amplitude exists, so every field route and the sweep exit
+    # 2 naming the keys, and neither writes its directory
+    path = tmp_path / "run.cfg"
+    path.write_text("[grid]\npoints = 16 16\nhalf_extent = 4.0 4.0\n"
+                    f"[run]\nT = 0.01\ndt = 0.005\n{start}\n", encoding="utf-8")
+    for command in ("run-nls", "run-wkb", "run-hydro"):
+        out = tmp_path / command
+        assert cli.main([command, str(path), f"--run.outdir={out}"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: [run].center, [run].width: the start amplitude has mass")
+        assert not out.exists()
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(path), "--eps", "0.5,0.25,0.125",
+                     f"--run.outdir={out}"]) == 2
+    assert "[run].center, [run].width" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_refuses_a_step_count_above_the_cap(tmp_path, capsys, monkeypatch):
     # finite T and dt whose march would never end: exit 2 before any step.
     # Without the cap the march would start, and fail here on the missing plan
@@ -916,6 +949,49 @@ def test_field_runs_tag_every_file_and_read_the_leak_off_the_amplitude(tmp_path,
     leak = json.loads((tmp_path / "o" / "manifest.json").read_text())["boundary_leak"]
     assert 0.0 < leak < 1.0
     assert leak == boundary_max(amplitude)
+
+
+def test_cli_file_keys_take_only_their_kind_of_field(tmp_path, capsys):
+    # rho (a run-hydro final) is neither an amplitude nor a phase, and psi
+    # or a is no phase: exit 2 naming the key and the file, with no output
+    # directory, as for a file on another grid; the other kinds, a file
+    # tagged phase and an untagged file still read
+    path = write_cfg(tmp_path / "run.cfg", tmp_path / "o", "T = 0.01\ndt = 0.005\n")
+    final = {}
+    for route in ("nls", "wkb", "hydro"):
+        assert cli.main([f"run-{route}", path, f"--run.outdir={tmp_path / route}"]) == 0
+        final[route] = str(tmp_path / route / "final.rsfw")
+    grid = GridSpec.square(64, 4.0)
+    for tag in ("phase", None):
+        save_field(tmp_path / f"{tag}.rsfw", np.full(grid.shape, 0.1), grid, 0.0, 0.0, tag)
+    other = GridSpec.square(32, 4.0)
+    save_field(tmp_path / "other.rsfw", np.ones(other.shape), other, 0.0, 0.0)
+    phase, untagged, elsewhere = (str(tmp_path / f"{name}.rsfw")
+                                  for name in ("phase", "None", "other"))
+    cases = [("initial", final["hydro"], "'hydro-final'"),
+             ("initial", elsewhere, "does not match"),
+             ("phase", final["nls"], "'nls-final'"),
+             ("phase", final["wkb"], "'wkb-final'"),
+             ("phase", final["hydro"], "'hydro-final'"),
+             ("initial", final["nls"], None), ("initial", final["wkb"], None),
+             ("initial", untagged, None), ("phase", phase, None),
+             ("phase", untagged, None)]
+    for key, field, refusal in cases:
+        out = tmp_path / "out"
+        code = cli.main(["run-nls", path, f"--run.{key}=file:{field}", "--run.T=0",
+                         f"--run.outdir={out}"])
+        err = capsys.readouterr().err
+        if refusal is None:
+            assert code == 0, err
+            assert (out / "initial.rsfw").exists()
+            for name in listdir(out):
+                (out / name).unlink()
+            out.rmdir()
+        else:
+            assert code == 2
+            assert err.startswith(f"config error: [run].{key}: ")
+            assert refusal in err and (field in err or field == elsewhere)
+            assert not out.exists()
 
 
 def test_cli_observables_scores_only_psi_fields(tmp_path, capsys):

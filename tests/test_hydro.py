@@ -434,6 +434,22 @@ def test_a_blowup_in_the_strips_is_an_abort_not_a_warning(monkeypatch):
             evolve_wkb(state, T=0.004, dt=0.002)
 
 
+def test_a_beta_that_alone_overflows_aborts_the_march():
+    # at eps = 0 with no nonlinearity beta feeds no other row (no Lap
+    # beta in d alpha, f(rho) = 0 in d v), so the march's finite check
+    # must read beta itself: beta adv overflows where the drift is fast
+    # (off the rotation axis) in the first step, alpha stays finite, and
+    # the march stops there
+    grid = GridSpec.square(32, 4.0)
+    params = SimParams(eps=0.25, Omega=0.5, omega=(1.0, 1.0),
+                       nonlinearity=Nonlinearity.none())
+    a0 = make_gaussian(grid, center=(2.0, 1.0))
+    state = WKBState(a0, 1e308 * a0 / a0.max(), np.zeros((2,) + grid.shape),
+                     np.zeros(grid.shape), QuadraticPhase.zero(2), 0.0, 0.0, grid, params)
+    with pytest.raises(NumericalAbort, match="non-finite samples after step 1"):
+        evolve_wkb(state, T=0.03, dt=0.01)
+
+
 def test_uniform_state_is_a_fixed_point_with_linear_phase_drop():
     # constant density, no trap, no rotation: nothing moves and
     # phi(t) = -f(rho0) t uniformly
